@@ -71,9 +71,10 @@ struct SessionOptions
     /** Share compiles between arch/option variants. */
     bool compileCache = true;
     /**
-     * Bound on resident compile-cache entries (LRU eviction,
-     * counted in cacheStats().evictions); 0 = unbounded. For
-     * long-lived serving sessions.
+     * Bound on resident compile-cache entries, applied to each
+     * tier (artifacts and loop front ends; LRU eviction, counted
+     * in cacheStats().evictions and .frontEvictions); 0 =
+     * unbounded. For long-lived serving sessions.
      */
     std::size_t cacheCapacity = 0;
     /**

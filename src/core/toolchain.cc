@@ -5,6 +5,7 @@
 
 #include "core/versioning.hh"
 #include "ddg/mii.hh"
+#include "engine/compile_cache.hh"
 #include "opt/solver.hh"
 #include "ddg/unroll.hh"
 #include "sim/sim_workspace.hh"
@@ -15,10 +16,33 @@
 namespace vliw {
 
 Toolchain::Toolchain(const MachineConfig &cfg,
-                     const ToolchainOptions &opts)
-    : cfg_(cfg), opts_(opts)
+                     const ToolchainOptions &opts,
+                     std::shared_ptr<engine::FrontCache> fronts)
+    : cfg_(cfg), opts_(opts), fronts_(std::move(fronts))
 {
     cfg_.validate();
+}
+
+std::shared_ptr<const LoopFront>
+Toolchain::frontAt(engine::FrontCache &fronts,
+                   const BenchmarkSpec &bench, const LoopSpec &loop,
+                   std::size_t index, int factor) const
+{
+    return fronts.front(cfg_, opts_, bench, index, factor, [&] {
+        LoopFront front;
+        front.ddg = unrollDdg(loop.body, factor);
+        // Profile the unrolled body on the profile data set.
+        const DataSet prof_ds = makeDataSet(bench, cfg_,
+                                            opts_.profileSeed,
+                                            opts_.varAlignment);
+        AddressResolver prof_addr(front.ddg, bench, prof_ds);
+        front.profile = profileLoop(front.ddg, prof_addr,
+                                    loop.avgIterations / factor,
+                                    loop.invocations, cfg_,
+                                    opts_.profile);
+        front.circuits = findCircuits(front.ddg);
+        return front;
+    });
 }
 
 LatencyScheme
@@ -44,8 +68,9 @@ Toolchain::chainsEnabled() const
 }
 
 CompiledLoop
-Toolchain::compileAt(const BenchmarkSpec &bench, const LoopSpec &loop,
-                     int factor) const
+Toolchain::compileAt(engine::FrontCache &fronts,
+                     const BenchmarkSpec &bench, const LoopSpec &loop,
+                     std::size_t index, int factor) const
 {
     CompiledLoop out;
     out.name = loop.name;
@@ -62,18 +87,13 @@ Toolchain::compileAt(const BenchmarkSpec &bench, const LoopSpec &loop,
     }
     out.kernelIterations = loop.avgIterations / factor;
 
-    out.ddg = unrollDdg(loop.body, factor);
-
-    // Profile the unrolled body on the profile data set.
-    const DataSet prof_ds = makeDataSet(bench, cfg_,
-                                        opts_.profileSeed,
-                                        opts_.varAlignment);
-    AddressResolver prof_addr(out.ddg, bench, prof_ds);
-    out.profile = profileLoop(out.ddg, prof_addr,
-                              out.kernelIterations, loop.invocations,
-                              cfg_, opts_.profile);
-
-    const std::vector<Circuit> circuits = findCircuits(out.ddg);
+    // The hint pass below edits the body, so the loop keeps its own
+    // copy of the shared front end.
+    const std::shared_ptr<const LoopFront> front =
+        frontAt(fronts, bench, loop, index, factor);
+    out.ddg = front->ddg;
+    out.profile = front->profile;
+    const std::vector<Circuit> &circuits = front->circuits;
     const LatencyScheme scheme = makeScheme();
     out.latency = assignLatencies(out.ddg, circuits, out.profile,
                                   scheme, cfg_);
@@ -170,30 +190,36 @@ CompiledLoop
 Toolchain::compileLoop(const BenchmarkSpec &bench,
                        const LoopSpec &loop) const
 {
-    // Per-instruction analysis wants the original loop's profile.
-    const DataSet prof_ds = makeDataSet(bench, cfg_,
-                                        opts_.profileSeed,
-                                        opts_.varAlignment);
-    AddressResolver orig_addr(loop.body, bench, prof_ds);
-    const ProfileMap orig_prof =
-        profileLoop(loop.body, orig_addr, loop.avgIterations,
-                    loop.invocations, cfg_, opts_.profile);
+    // A private tier: @p loop need not be one of bench.loops, so it
+    // has no index a shared tier could key it by.
+    engine::FrontCache fronts;
+    return compileLoop(fronts, bench, loop, 0);
+}
 
-    const int ouf = computeOuf(loop.body, orig_prof, cfg_);
-
+CompiledLoop
+Toolchain::compileLoop(engine::FrontCache &fronts,
+                       const BenchmarkSpec &bench, const LoopSpec &loop,
+                       std::size_t index) const
+{
     auto policy_factor = [&](UnrollPolicy policy) {
         switch (policy) {
           case UnrollPolicy::None:   return 1;
           case UnrollPolicy::TimesN: return cfg_.numClusters;
-          case UnrollPolicy::Ouf:    return ouf;
+          case UnrollPolicy::Ouf:
+            // Per-instruction analysis wants the original loop's
+            // profile: the factor-1 front's, since unrolling by 1
+            // reproduces the body node for node.
+            return computeOuf(
+                loop.body,
+                frontAt(fronts, bench, loop, index, 1)->profile, cfg_);
           case UnrollPolicy::Selective: break;
         }
         return 1;
     };
 
     if (opts_.unroll != UnrollPolicy::Selective) {
-        CompiledLoop out =
-            compileAt(bench, loop, policy_factor(opts_.unroll));
+        CompiledLoop out = compileAt(fronts, bench, loop, index,
+                                     policy_factor(opts_.unroll));
         out.policyChosen = opts_.unroll;
         return out;
     }
@@ -209,7 +235,8 @@ Toolchain::compileLoop(const BenchmarkSpec &bench,
         const int factor = policy_factor(policy);
         if (!first && factor == best.unrollFactor)
             continue;   // identical factor, identical schedule
-        CompiledLoop cand = compileAt(bench, loop, factor);
+        CompiledLoop cand =
+            compileAt(fronts, bench, loop, index, factor);
         cand.policyChosen = policy;
         const double cost = estimateTexec(
             double(loop.avgIterations), factor,
@@ -231,17 +258,23 @@ Toolchain::compileBenchmark(const BenchmarkSpec &bench) const
     out.name = bench.name;
     out.loops.reserve(bench.loops.size());
 
-    for (const LoopSpec &loop : bench.loops) {
+    // A private tier lives for this call only: a loop index names
+    // a loop unambiguously only within one benchmark.
+    const std::shared_ptr<engine::FrontCache> fronts =
+        fronts_ ? fronts_ : std::make_shared<engine::FrontCache>();
+    for (std::size_t li = 0; li < bench.loops.size(); ++li) {
+        const LoopSpec &loop = bench.loops[li];
         if (opts_.cancel &&
             opts_.cancel->load(std::memory_order_relaxed)) {
             throw CancelledError(detail::concat(
                 "compile of ", bench.name, " cancelled"));
         }
         CompiledLoopVersions v;
-        v.primary = compileLoop(bench, loop);
+        v.primary = compileLoop(*fronts, bench, loop, li);
 
         // Loop versioning (Section 5.4): a chain-free second
-        // version plus the dynamic disjointness check.
+        // version plus the dynamic disjointness check. It shares
+        // the primary's fronts: chains are not a front-end input.
         if (opts_.loopVersioning && chainsEnabled()) {
             v.chains.emplace(v.primary.ddg);
             if (v.chains->maxChainSize() > 1) {
@@ -249,7 +282,7 @@ Toolchain::compileBenchmark(const BenchmarkSpec &bench) const
                 no_chain_opts.memChains = false;
                 no_chain_opts.loopVersioning = false;
                 v.unchained = Toolchain(cfg_, no_chain_opts)
-                    .compileLoop(bench, loop);
+                    .compileLoop(*fronts, bench, loop, li);
             }
         }
         out.loops.push_back(std::move(v));

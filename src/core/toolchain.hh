@@ -23,11 +23,13 @@
 #ifndef WIVLIW_CORE_TOOLCHAIN_HH
 #define WIVLIW_CORE_TOOLCHAIN_HH
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "ddg/chains.hh"
+#include "ddg/circuits.hh"
 #include "ddg/profile_map.hh"
 #include "machine/machine_config.hh"
 #include "opt/budget.hh"
@@ -40,6 +42,10 @@
 #include "workloads/profiler.hh"
 
 namespace vliw {
+
+namespace engine {
+class FrontCache;
+}
 
 /** Pipeline configuration. */
 struct ToolchainOptions
@@ -89,6 +95,19 @@ struct ToolchainOptions
      */
     bool optimalSolver = false;
     opt::SolverBudget solverBudget;
+};
+
+/**
+ * The heuristic-independent front end of one loop at one unroll
+ * factor (steps 1-2 above): it depends on the loop, the factor, the
+ * cache/cluster geometry and the profile inputs, never on the
+ * scheduler. Shared read-only through engine::FrontCache.
+ */
+struct LoopFront
+{
+    Ddg ddg;                  ///< unrolled body
+    ProfileMap profile;       ///< on the PROFILE data set
+    std::vector<Circuit> circuits;
 };
 
 /** A fully compiled loop, ready to simulate or inspect. */
@@ -178,7 +197,14 @@ struct BenchmarkRun
 class Toolchain
 {
   public:
-    Toolchain(const MachineConfig &cfg, const ToolchainOptions &opts);
+    /**
+     * @param fronts the front-end tier to compile through, shared
+     *               with other toolchains (engine::CompileCache
+     *               passes its own); null = every compile call
+     *               builds its fronts in a private tier.
+     */
+    Toolchain(const MachineConfig &cfg, const ToolchainOptions &opts,
+              std::shared_ptr<engine::FrontCache> fronts = nullptr);
 
     /** Compile one loop (no simulation). */
     CompiledLoop compileLoop(const BenchmarkSpec &bench,
@@ -234,9 +260,22 @@ class Toolchain
     /** Chains policy: never for unified (no correctness need). */
     bool chainsEnabled() const;
 
+    /** The front end of @p loop (index @p index) at @p factor. */
+    std::shared_ptr<const LoopFront>
+    frontAt(engine::FrontCache &fronts, const BenchmarkSpec &bench,
+            const LoopSpec &loop, std::size_t index, int factor) const;
+
+    /** compileLoop() through @p fronts. */
+    CompiledLoop compileLoop(engine::FrontCache &fronts,
+                             const BenchmarkSpec &bench,
+                             const LoopSpec &loop,
+                             std::size_t index) const;
+
     /** Compile at one fixed unroll factor. */
-    CompiledLoop compileAt(const BenchmarkSpec &bench,
-                           const LoopSpec &loop, int factor) const;
+    CompiledLoop compileAt(engine::FrontCache &fronts,
+                           const BenchmarkSpec &bench,
+                           const LoopSpec &loop, std::size_t index,
+                           int factor) const;
 
     /** Restrict attractable loads to the abHintBudget hottest. */
     void applyAbHints(Ddg &ddg, const ProfileMap &prof,
@@ -244,6 +283,7 @@ class Toolchain
 
     MachineConfig cfg_;
     ToolchainOptions opts_;
+    std::shared_ptr<engine::FrontCache> fronts_;
 };
 
 } // namespace vliw

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the batch experiment engine: grid expansion, the worker
- * pool, compile-result memoization, the determinism contract
- * (parallel == serial == direct Toolchain, bit for bit), and the
- * report serialisers.
+ * pool, compile-result memoization (artifacts and loop front ends),
+ * the determinism contract (parallel == serial == direct Toolchain,
+ * bit for bit), and the report serialisers.
  */
 
 #include <gtest/gtest.h>
@@ -12,16 +12,21 @@
 #include <atomic>
 #include <cstdlib>
 #include <future>
+#include <latch>
 #include <memory>
 #include <set>
 #include <sstream>
 
+#include "dist/artifact.hh"
 #include "dist/compile_store.hh"
 #include "engine/compile_cache.hh"
 #include "engine/engine.hh"
 #include "engine/report.hh"
 #include "engine/worker_pool.hh"
+#include "sched/unroll_policy.hh"
+#include "workloads/dataset.hh"
 #include "workloads/mediabench.hh"
+#include "workloads/profiler.hh"
 
 namespace vliw {
 namespace {
@@ -202,10 +207,17 @@ TEST(WorkerPool, PriorityOrdersQueuedWorkFifoWithinPriority)
 {
     WorkerPool pool(1);
     // Park the single worker so the queue builds up, then release
-    // it and observe the drain order.
+    // it and observe the drain order. Queue nothing until the gate
+    // job runs: a worker still idle would dequeue each job as it
+    // arrives, in arrival order.
+    std::latch parked(1);
     std::promise<void> gate;
     std::shared_future<void> open = gate.get_future().share();
-    pool.submit([open] { open.wait(); });
+    pool.submit([&parked, open] {
+        parked.count_down();
+        open.wait();
+    });
+    parked.wait();
 
     std::vector<int> order;
     pool.submit([&order] { order.push_back(1); }, /*priority=*/1);
@@ -465,6 +477,215 @@ TEST(CompileCache, FailedCompilesAreNotCached)
     EXPECT_EQ(cache.size(), 0u);
     opts.maxIiTries = 64;
     EXPECT_NO_THROW(cache.compile(cfg, opts, gsm));
+}
+
+// ---- front tier ----
+
+/** Node-by-node equality of two profiles. */
+::testing::AssertionResult
+profilesEqual(const ProfileMap &a, const ProfileMap &b)
+{
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure()
+            << "sizes " << a.size() << " vs " << b.size();
+    for (NodeId v = 0; v < a.size(); ++v) {
+        const MemProfile &x = a.at(v);
+        const MemProfile &y = b.at(v);
+        if (x.hitRate != y.hitRate ||
+            x.clusterCounts != y.clusterCounts ||
+            x.preferredCluster != y.preferredCluster ||
+            x.distribution != y.distribution ||
+            x.localRatio != y.localRatio ||
+            x.executions != y.executions)
+            return ::testing::AssertionFailure() << "node " << v;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** The profile of @p loop's original body, as profiling sees it. */
+ProfileMap
+originalProfile(const BenchmarkSpec &bench, const LoopSpec &loop,
+                const MachineConfig &cfg, const ToolchainOptions &opts)
+{
+    const DataSet ds = makeDataSet(bench, cfg, opts.profileSeed,
+                                   opts.varAlignment);
+    AddressResolver addr(loop.body, bench, ds);
+    return profileLoop(loop.body, addr, loop.avgIterations,
+                       loop.invocations, cfg, opts.profile);
+}
+
+TEST(FrontTier, SharedAcrossHeuristicsArchsAndOptionsByteIdentically)
+{
+    const BenchmarkSpec epic = makeBenchmark("epicdec");
+    const std::vector<std::pair<std::string, MachineConfig>> archs = {
+        {"interleaved", MachineConfig::paperInterleaved()},
+        {"interleaved-ab", MachineConfig::paperInterleavedAb()},
+        {"unified1", MachineConfig::paperUnified(1)},
+        {"unified5", MachineConfig::paperUnified(5)},
+        {"multivliw", MachineConfig::paperMultiVliw()}};
+    engine::CompileCache cache;
+    for (const auto &[arch, cfg] : archs) {
+        for (const Heuristic h :
+             {Heuristic::Base, Heuristic::Ibc, Heuristic::Ipbc}) {
+            for (const bool versioning : {false, true}) {
+                for (const bool hints : {false, true}) {
+                    ToolchainOptions opts;
+                    opts.heuristic = h;
+                    opts.loopVersioning = versioning;
+                    opts.abHints = hints;
+                    const std::string key =
+                        engine::compileKey(cfg, opts, epic.name);
+                    EXPECT_EQ(
+                        dist::encodeArtifact(
+                            *cache.compile(cfg, opts, epic), key),
+                        dist::encodeArtifact(
+                            Toolchain(cfg, opts).compileBenchmark(epic),
+                            key))
+                        << arch << "/" << heuristicName(h)
+                        << (versioning ? "/versioned" : "")
+                        << (hints ? "/hints" : "");
+                }
+            }
+        }
+    }
+
+    // All paper architectures share one cache geometry, so each
+    // (loop, selective-unroll candidate factor) profiled once.
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    std::set<std::pair<std::size_t, int>> pairs;
+    for (std::size_t li = 0; li < epic.loops.size(); ++li) {
+        const LoopSpec &loop = epic.loops[li];
+        pairs.emplace(li, 1);
+        pairs.emplace(li, cfg.numClusters);
+        pairs.emplace(li, computeOuf(loop.body,
+                                     originalProfile(epic, loop, cfg,
+                                                     {}),
+                                     cfg));
+    }
+    const CompileCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.frontMisses, pairs.size());
+    EXPECT_EQ(cache.fronts().size(), pairs.size());
+    EXPECT_GT(stats.frontHits, stats.frontMisses);
+    EXPECT_EQ(stats.frontEvictions, 0u);
+}
+
+TEST(FrontTier, KeyTracksGeometryAndProfileInputsOnly)
+{
+    const BenchmarkSpec gsm = makeBenchmark("gsmdec");
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    ToolchainOptions opts;
+    opts.unroll = UnrollPolicy::None;
+    engine::CompileCache cache;
+    cache.compile(cfg, opts, gsm);
+    std::uint64_t misses = cache.stats().frontMisses;
+    ASSERT_EQ(misses, gsm.loops.size());
+
+    // Inputs the front end never reads: every front hits.
+    auto expectHit = [&](const MachineConfig &c,
+                         const ToolchainOptions &o, const char *what) {
+        cache.compile(c, o, gsm);
+        EXPECT_EQ(cache.stats().frontMisses, misses) << what;
+    };
+    ToolchainOptions heuristic = opts;
+    heuristic.heuristic = Heuristic::Base;
+    expectHit(cfg, heuristic, "heuristic");
+    MachineConfig latency = cfg;
+    latency.latUnified += 3;
+    expectHit(latency, opts, "latUnified");
+    MachineConfig org = cfg;
+    org.cacheOrg = CacheOrg::MultiVliw;
+    expectHit(org, opts, "cacheOrg");
+
+    // Geometry and profile inputs: every front misses.
+    auto expectMiss = [&](const MachineConfig &c,
+                          const ToolchainOptions &o, const char *what) {
+        cache.compile(c, o, gsm);
+        EXPECT_EQ(cache.stats().frontMisses, misses + gsm.loops.size())
+            << what;
+        misses = cache.stats().frontMisses;
+    };
+    MachineConfig ways = cfg;
+    ways.cacheWays *= 2;
+    expectMiss(ways, opts, "cacheWays");
+    ToolchainOptions seed = opts;
+    seed.profileSeed += 1;
+    expectMiss(cfg, seed, "profileSeed");
+    MachineConfig interleave = cfg;
+    interleave.interleaveBytes *= 2;
+    expectMiss(interleave, opts, "interleaveBytes");
+}
+
+TEST(FrontTier, ThrowingFrontVacatesItsSlot)
+{
+    const BenchmarkSpec gsm = makeBenchmark("gsmdec");
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    const ToolchainOptions opts;
+    engine::FrontCache fronts;
+    EXPECT_THROW(fronts.front(cfg, opts, gsm, 0, 1,
+                              []() -> LoopFront {
+                                  throw CompileError("boom");
+                              }),
+                 CompileError);
+    EXPECT_EQ(fronts.size(), 0u);
+
+    // The retry builds fresh instead of replaying the failure.
+    const LoopSpec &loop = gsm.loops.front();
+    const auto front = fronts.front(cfg, opts, gsm, 0, 1, [&] {
+        LoopFront f;
+        f.ddg = loop.body;
+        return f;
+    });
+    EXPECT_EQ(front->ddg.numNodes(), loop.body.numNodes());
+    EXPECT_EQ(fronts.size(), 1u);
+    EXPECT_EQ(fronts.misses(), 2u);
+    EXPECT_EQ(fronts.hits(), 0u);
+}
+
+TEST(FrontTier, CapacityBoundsFrontsWithoutChangingArtifacts)
+{
+    const BenchmarkSpec epic = makeBenchmark("epicdec");
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    ToolchainOptions opts;
+    opts.loopVersioning = true;
+    engine::CompileCache bounded(/*capacity=*/2);
+    engine::CompileCache unbounded;
+    for (const Heuristic h :
+         {Heuristic::Base, Heuristic::Ibc, Heuristic::Ipbc}) {
+        opts.heuristic = h;
+        const std::string key = engine::compileKey(cfg, opts, epic.name);
+        EXPECT_EQ(
+            dist::encodeArtifact(*bounded.compile(cfg, opts, epic), key),
+            dist::encodeArtifact(*unbounded.compile(cfg, opts, epic),
+                                 key));
+        EXPECT_LE(bounded.fronts().size(), 2u);
+    }
+    EXPECT_GT(bounded.stats().frontEvictions, 0u);
+    EXPECT_GT(bounded.stats().frontMisses,
+              unbounded.stats().frontMisses);
+    EXPECT_EQ(unbounded.stats().frontEvictions, 0u);
+}
+
+TEST(FrontTier, FactorOneFrontProfileIsTheOriginalBodyProfile)
+{
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    ToolchainOptions opts;
+    opts.unroll = UnrollPolicy::None;
+    for (const std::string &name : mediabenchNames()) {
+        const BenchmarkSpec bench = makeBenchmark(name);
+        const CompiledBenchmark compiled =
+            Toolchain(cfg, opts).compileBenchmark(bench);
+        ASSERT_EQ(compiled.loops.size(), bench.loops.size());
+        for (std::size_t li = 0; li < bench.loops.size(); ++li) {
+            const LoopSpec &loop = bench.loops[li];
+            const CompiledLoop &front = compiled.loops[li].primary;
+            ASSERT_EQ(front.unrollFactor, 1);
+            EXPECT_EQ(front.ddg.numNodes(), loop.body.numNodes());
+            EXPECT_TRUE(profilesEqual(
+                front.profile,
+                originalProfile(bench, loop, cfg, opts)))
+                << name << "/" << loop.name;
+        }
+    }
 }
 
 // ---- determinism ----

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <latch>
 #include <mutex>
 #include <sstream>
 #include <string>
@@ -40,10 +41,25 @@ csvOf(const std::vector<engine::ExperimentResult> &results)
     return os.str();
 }
 
-/** Release-on-command gate to park the single worker. */
+/**
+ * Release-on-command gate to park the single worker. park() queues
+ * the gate job and returns once the worker is inside it, so every
+ * job queued afterwards waits behind it (a worker still idle would
+ * dequeue each job as it arrives, in arrival order).
+ */
 class Gate
 {
   public:
+    void
+    park(engine::WorkerPool &pool)
+    {
+        pool.submit([this] {
+            parked_.count_down();
+            wait();
+        });
+        parked_.wait();
+    }
+
     void
     open()
     {
@@ -63,6 +79,7 @@ class Gate
     std::mutex mu_;
     std::condition_variable cv_;
     bool open_ = false;
+    std::latch parked_{1};
 };
 
 TEST(Fairness, PoolRoundRobinsClientsWithinAPriorityBand)
@@ -82,7 +99,7 @@ TEST(Fairness, PoolRoundRobinsClientsWithinAPriorityBand)
     // let a greedy client stack 6 jobs before a small client adds
     // 2. Quantum-1 round-robin must interleave the small client's
     // jobs instead of appending them after the backlog.
-    pool.submit([&gate] { gate.wait(); });
+    gate.park(pool);
     for (int i = 0; i < 6; ++i)
         pool.submit(record("g" + std::to_string(i)), 0, 1);
     pool.submit(record("s0"), 0, 2);
@@ -108,7 +125,7 @@ TEST(Fairness, SingleClientKeepsPriorityThenFifoOrder)
         };
     };
 
-    pool.submit([&gate] { gate.wait(); });
+    gate.park(pool);
     // One (anonymous) client across three priorities: the classic
     // highest-priority-first, FIFO-within-priority order must be
     // exactly preserved.
@@ -136,7 +153,7 @@ TEST(Fairness, HigherPriorityBandDrainsBeforeFairnessApplies)
         };
     };
 
-    pool.submit([&gate] { gate.wait(); });
+    gate.park(pool);
     pool.submit(record("low-a"), 0, 1);
     pool.submit(record("high-b"), 5, 2);
     pool.submit(record("low-b"), 0, 2);
