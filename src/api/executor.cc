@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <unordered_map>
 
 namespace vliw::api::detail {
 
@@ -23,6 +24,7 @@ struct ExecMetrics
     metrics::Counter &shedsCells;
     metrics::Counter &deadlineExpired;
     metrics::Counter &cellsRetired;
+    metrics::Counter &cellsCollapsed;
     metrics::Gauge &queuedCells;
     metrics::Gauge &activeJobs;
     metrics::Histogram &cellUs;
@@ -43,6 +45,7 @@ execMetrics()
         reg.counter("wivliw_admission_sheds_total{kind=\"cells\"}"),
         reg.counter("wivliw_deadline_expired_total"),
         reg.counter("wivliw_cells_retired_total"),
+        reg.counter("wivliw_cells_collapsed_total"),
         reg.gauge("wivliw_queued_cells"),
         reg.gauge("wivliw_active_jobs"),
         reg.histogram("wivliw_cell_us"),
@@ -60,6 +63,80 @@ markDeadlineHit(JobCore &core)
     if (!core.deadlineHit.exchange(true,
                                    std::memory_order_relaxed))
         execMetrics().deadlineExpired.add();
+}
+
+/**
+ * Fill core.leaders and core.followers. With @p collapse, each set
+ * of twin cells (engine::twinCells) gets one leader, its first cell
+ * in grid order; specs are grouped by engine::twinHash() so only
+ * same-hash cells are compared. Without it every cell leads.
+ */
+void
+planCells(JobCore &core, bool collapse)
+{
+    const std::size_t n = core.specs.size();
+    core.leaders.clear();
+    core.followers.assign(n, {});
+    std::unordered_map<std::size_t, std::vector<int>> buckets;
+    for (std::size_t i = 0; i < n; ++i) {
+        const engine::ExperimentSpec &spec = core.specs[i];
+        if (collapse) {
+            std::vector<int> &bucket =
+                buckets[engine::twinHash(spec)];
+            const auto twin = std::find_if(
+                bucket.begin(), bucket.end(), [&](int leader) {
+                    return engine::twinCells(
+                        core.specs[std::size_t(leader)], spec);
+                });
+            if (twin != bucket.end()) {
+                core.followers[std::size_t(*twin)].push_back(int(i));
+                continue;
+            }
+            bucket.push_back(int(i));
+        }
+        core.leaders.push_back(int(i));
+    }
+}
+
+/**
+ * Follower @p cell's result: a copy of its leader's @p led under the
+ * follower's own spec, with zero timings because no work was done.
+ * When the leader got as far as compiling (@p compiled), the
+ * follower's CellCompiled goes out first, delivered like the
+ * leader's: a sink that throws fails the cell. The caller holds
+ * core.emitMu.
+ */
+engine::ExperimentResult
+followerResult(JobCore &core, int cell,
+               const engine::ExperimentResult &led, bool compiled)
+{
+    engine::ExperimentResult result = led;
+    result.spec = core.specs[std::size_t(cell)];
+    result.compileMs = 0.0;
+    result.simulateMs = 0.0;
+    result.simulateSetupMs = 0.0;
+    std::fill(result.simulateDatasetMs.begin(),
+              result.simulateDatasetMs.end(), 0.0);
+    if (!compiled || !core.sink)
+        return result;
+    JobEvent ev;
+    ev.kind = EventKind::CellCompiled;
+    ev.job = core.id;
+    ev.cell = std::size_t(cell);
+    ev.label = result.spec.label();
+    ev.solver = result.solverOutcome;
+    try {
+        core.sink->handle(ev);
+    } catch (const std::exception &e) {
+        result.error = e.what();
+        result.userError = false;
+        result.datasetRuns.clear();
+    } catch (...) {
+        result.error = "internal: exception escaped cell execution";
+        result.userError = false;
+        result.datasetRuns.clear();
+    }
+    return result;
 }
 
 } // namespace
@@ -220,18 +297,21 @@ AsyncExecutor::submit(std::vector<engine::ExperimentSpec> specs,
         emit(core, accepted);
     }
 
-    // Admission: enqueue the whole job, or just the first window
-    // when capped; runCell tops the window up as cells retire.
-    const int window =
+    // Admission: enqueue every leader, or just the first window
+    // when capped; runCell tops the window up as leaders retire and
+    // retires each leader's twins with it.
+    planCells(*core, engine_.options().compileCache);
+    const std::size_t window =
         core->maxInFlight > 0
-            ? std::min(core->maxInFlight, core->total)
-            : core->total;
+            ? std::min(std::size_t(core->maxInFlight),
+                       core->leaders.size())
+            : core->leaders.size();
     {
         std::lock_guard<std::mutex> lock(core->mu);
-        core->nextCell = window;
+        core->nextLeader = window;
     }
-    for (int i = 0; i < window; ++i)
-        enqueueCell(core, i);
+    for (std::size_t i = 0; i < window; ++i)
+        enqueueCell(core, core->leaders[i]);
     return core;
 }
 
@@ -321,6 +401,7 @@ AsyncExecutor::runCell(const std::shared_ptr<JobCore> &core, int cell)
 
     ExecMetrics &em = execMetrics();
     engine::ExperimentResult result;
+    bool compiled = false;
     if (core->cancelRequested.load(std::memory_order_relaxed)) {
         // Cancelled before this cell started: retire it as a skip
         // so accounting reaches the total and the job finishes.
@@ -331,6 +412,7 @@ AsyncExecutor::runCell(const std::shared_ptr<JobCore> &core, int cell)
         engine::RunHooks hooks;
         hooks.cancel = &core->cancelRequested;
         hooks.compiled = [&](const engine::ExperimentResult &r) {
+            compiled = true;
             if (!core->sink)
                 return;
             JobEvent ev;
@@ -372,109 +454,130 @@ AsyncExecutor::runCell(const std::shared_ptr<JobCore> &core, int cell)
     }
     em.cellsRetired.add();
 
-    // Retire the cell: slot write, progress, events and (for the
-    // last cell) the job epilogue happen under emitMu so the sink
-    // sees one ordered, consistent stream per job.
-    int topUp = -1;
+    // Retire the cell, then its twins: slot writes, progress, events
+    // and (after the last cell) the job epilogue happen under emitMu
+    // so the sink sees one ordered, consistent stream per job.
+    std::size_t topUp = core->leaders.size();
     {
         std::lock_guard<std::mutex> emitLock(core->emitMu);
-        bool last = false;
-        Progress progress;
-        {
+        Progress progress = retireLocked(core, cell, std::move(result));
+        const engine::ExperimentResult &led =
+            core->experiments[std::size_t(cell)];
+        for (int twin : core->followers[std::size_t(cell)]) {
+            em.cellsRetired.add();
+            em.cellsCollapsed.add();
+            progress = retireLocked(
+                core, twin, followerResult(*core, twin, led, compiled));
+        }
+        if (progress.done == progress.total) {
+            finishLocked(core, progress);
+        } else if (core->maxInFlight > 0) {
             std::lock_guard<std::mutex> lock(core->mu);
-            core->experiments[std::size_t(cell)] = std::move(result);
-            core->done += 1;
-            progress = Progress{core->done, core->total};
-            last = core->done == core->total;
-            if (!last && core->maxInFlight > 0 &&
-                core->nextCell < core->total) {
-                topUp = core->nextCell++;
-            }
-        }
-        queuedCells_.fetch_sub(1, std::memory_order_relaxed);
-        em.queuedCells.sub();
-        if (last) {
-            activeJobs_.fetch_sub(1, std::memory_order_relaxed);
-            em.activeJobs.sub();
-        }
-
-        // Event construction allocates (labels, stats copies); a
-        // bad_alloc here must not skip the accounting below or the
-        // job would never reach Done. Reporting is best-effort,
-        // liveness is not.
-        try {
-            const engine::ExperimentResult &retired =
-                core->experiments[std::size_t(cell)];
-            if (!retired.failed()) {
-                JobEvent ev;
-                ev.kind = EventKind::CellSimulated;
-                ev.cell = std::size_t(cell);
-                ev.label = retired.spec.label();
-                ev.progress = progress;
-                emit(core, ev);
-            } else if (!retired.cancelled) {
-                JobEvent ev;
-                ev.kind = EventKind::CellFailed;
-                ev.cell = std::size_t(cell);
-                ev.label = retired.spec.label();
-                ev.status = cellStatus(retired);
-                ev.progress = progress;
-                emit(core, ev);
-            }
-            // Skipped (cancelled) cells advance progress silently.
-            JobEvent tick;
-            tick.kind = EventKind::Progress;
-            tick.progress = progress;
-            emit(core, tick);
-        } catch (...) {
-        }
-
-        if (last) {
-            try {
-                const bool deadline = core->deadlineHit.load(
-                    std::memory_order_relaxed);
-                const bool cancelled = core->cancelRequested.load(
-                    std::memory_order_relaxed);
-                Status final =
-                    deadline
-                        ? Status::deadlineExceeded(
-                              "job deadline exceeded; partial "
-                              "results kept")
-                        : cancelled
-                            ? Status::cancelled(
-                                  "job cancelled; partial results "
-                                  "kept")
-                            : Status();
-                em.jobsFinished.add();
-                if (!deadline && cancelled)
-                    em.jobsCancelled.add();
-                em.jobUs.observe(
-                    std::chrono::duration<double, std::micro>(
-                        std::chrono::steady_clock::now() -
-                        core->submittedAt)
-                        .count());
-                JobEvent finished;
-                finished.kind = EventKind::JobFinished;
-                finished.status = final;
-                finished.progress = progress;
-                finished.cache = engine_.cacheStats();
-                {
-                    std::lock_guard<std::mutex> lock(core->mu);
-                    core->finalStatus = final;
-                    core->cacheAtFinish = finished.cache;
-                }
-                emit(core, finished);
-            } catch (...) {
-            }
-            {
-                std::lock_guard<std::mutex> lock(core->mu);
-                core->phase = JobPhase::Done;
-            }
-            core->cv.notify_all();
+            if (core->nextLeader < core->leaders.size())
+                topUp = core->nextLeader++;
         }
     }
-    if (topUp >= 0)
-        enqueueCell(core, topUp);
+    if (topUp < core->leaders.size())
+        enqueueCell(core, core->leaders[topUp]);
+}
+
+Progress
+AsyncExecutor::retireLocked(const std::shared_ptr<JobCore> &core,
+                            int cell, engine::ExperimentResult result)
+{
+    ExecMetrics &em = execMetrics();
+    Progress progress;
+    bool last = false;
+    {
+        std::lock_guard<std::mutex> lock(core->mu);
+        core->experiments[std::size_t(cell)] = std::move(result);
+        core->done += 1;
+        progress = Progress{core->done, core->total};
+        last = core->done == core->total;
+    }
+    queuedCells_.fetch_sub(1, std::memory_order_relaxed);
+    em.queuedCells.sub();
+    if (last) {
+        activeJobs_.fetch_sub(1, std::memory_order_relaxed);
+        em.activeJobs.sub();
+    }
+
+    // Event construction allocates (labels, stats copies); a
+    // bad_alloc here must not skip the accounting above or the job
+    // would never reach Done. Reporting is best-effort, liveness is
+    // not.
+    try {
+        const engine::ExperimentResult &retired =
+            core->experiments[std::size_t(cell)];
+        if (!retired.failed()) {
+            JobEvent ev;
+            ev.kind = EventKind::CellSimulated;
+            ev.cell = std::size_t(cell);
+            ev.label = retired.spec.label();
+            ev.progress = progress;
+            emit(core, ev);
+        } else if (!retired.cancelled) {
+            JobEvent ev;
+            ev.kind = EventKind::CellFailed;
+            ev.cell = std::size_t(cell);
+            ev.label = retired.spec.label();
+            ev.status = cellStatus(retired);
+            ev.progress = progress;
+            emit(core, ev);
+        }
+        // Skipped (cancelled) cells advance progress silently.
+        JobEvent tick;
+        tick.kind = EventKind::Progress;
+        tick.progress = progress;
+        emit(core, tick);
+    } catch (...) {
+    }
+    return progress;
+}
+
+void
+AsyncExecutor::finishLocked(const std::shared_ptr<JobCore> &core,
+                            Progress progress)
+{
+    ExecMetrics &em = execMetrics();
+    try {
+        const bool deadline =
+            core->deadlineHit.load(std::memory_order_relaxed);
+        const bool cancelled =
+            core->cancelRequested.load(std::memory_order_relaxed);
+        Status final =
+            deadline ? Status::deadlineExceeded(
+                           "job deadline exceeded; partial results "
+                           "kept")
+            : cancelled
+                ? Status::cancelled("job cancelled; partial results "
+                                    "kept")
+                : Status();
+        em.jobsFinished.add();
+        if (!deadline && cancelled)
+            em.jobsCancelled.add();
+        em.jobUs.observe(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() -
+                             core->submittedAt)
+                             .count());
+        JobEvent finished;
+        finished.kind = EventKind::JobFinished;
+        finished.status = final;
+        finished.progress = progress;
+        finished.cache = engine_.cacheStats();
+        {
+            std::lock_guard<std::mutex> lock(core->mu);
+            core->finalStatus = final;
+            core->cacheAtFinish = finished.cache;
+        }
+        emit(core, finished);
+    } catch (...) {
+    }
+    {
+        std::lock_guard<std::mutex> lock(core->mu);
+        core->phase = JobPhase::Done;
+    }
+    core->cv.notify_all();
 }
 
 void

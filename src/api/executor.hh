@@ -16,6 +16,14 @@
  * cells write only their own slot and derive all randomness from
  * their spec (the engine's determinism contract).
  *
+ * Twin collapse: when the session shares work between cells
+ * (SessionOptions::compileCache), cells of one job that are
+ * engine::twinCells run once. Only each twin set's leader enters
+ * the pool (and counts against maxInFlight); when it retires, its
+ * followers retire right after it with copies of its result under
+ * their own specs, each emitting the usual CellCompiled,
+ * CellSimulated (or CellFailed) and Progress events.
+ *
  * Overload safety: session-wide admission limits
  * (AdmissionLimits, wired from SessionOptions) bound how much work
  * may be queued at once. A submission over the limit is born Done
@@ -96,6 +104,13 @@ class AsyncExecutor
   private:
     void runCell(const std::shared_ptr<JobCore> &core, int cell);
     void enqueueCell(const std::shared_ptr<JobCore> &core, int cell);
+    /** Store @p cell's result, count it and emit its events; the
+     *  caller holds core->emitMu. Returns the job's progress. */
+    Progress retireLocked(const std::shared_ptr<JobCore> &core,
+                          int cell, engine::ExperimentResult result);
+    /** The job epilogue after its last retirement (emitMu held). */
+    void finishLocked(const std::shared_ptr<JobCore> &core,
+                      Progress progress);
     /** Deliver one event, absorbing sink exceptions. */
     static void emit(const std::shared_ptr<JobCore> &core,
                      JobEvent event);

@@ -129,8 +129,15 @@ struct JobCore
     std::condition_variable cv;
     JobPhase phase = JobPhase::Queued;
     int done = 0;
-    /** Next cell index not yet handed to the pool. */
-    int nextCell = 0;
+    /** The cells that run on the pool, in grid order: every cell,
+     *  or one per twin set (engine::twinCells) when the session
+     *  shares work between cells. Fixed at admission. */
+    std::vector<int> leaders;
+    /** followers[c]: the twins retired with copies of leader c's
+     *  result. Fixed at admission. */
+    std::vector<std::vector<int>> followers;
+    /** Next index into `leaders` not yet handed to the pool. */
+    std::size_t nextLeader = 0;
     std::vector<engine::ExperimentSpec> specs;
     /** One slot per cell, written only by the cell's worker. */
     std::vector<engine::ExperimentResult> experiments;

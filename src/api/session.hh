@@ -68,7 +68,12 @@ struct SessionOptions
      * shrinks).
      */
     int jobs = 1;
-    /** Share compiles between arch/option variants. */
+    /**
+     * Share work between cells: compiles between arch/option
+     * variants, and whole runs between twin cells of one job
+     * (engine::twinCells), which retire with copies of one result.
+     * false runs every cell in full.
+     */
     bool compileCache = true;
     /**
      * Bound on resident compile-cache entries, applied to each

@@ -95,6 +95,10 @@ struct ToolchainOptions
      */
     bool optimalSolver = false;
     opt::SolverBudget solverBudget;
+
+    /** Field-wise, the cancel token included (compare a copy with
+     *  it cleared to ignore it). */
+    bool operator==(const ToolchainOptions &) const = default;
 };
 
 /**

@@ -33,7 +33,9 @@ struct EngineOptions
 {
     /** Concurrent workers; 0 picks hardware concurrency. */
     int jobs = 1;
-    /** Share compiles between arch/AB variants (see compileKey). */
+    /** Share work between cells: compiles between arch/AB variants
+     *  (see compileKey) and, in api::Session's executor, whole runs
+     *  between twin cells (see twinCells). */
     bool compileCache = true;
     /** Compile-cache entry bound; 0 = unbounded (see CompileCache). */
     std::size_t cacheCapacity = 0;

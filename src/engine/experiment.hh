@@ -84,6 +84,19 @@ struct ExperimentSpec
 };
 
 /**
+ * True when @p a and @p b are twin cells: they name the same
+ * workload (name and fingerprint, as in compileKey), the same
+ * MachineConfig, the same exec seeds and the same ToolchainOptions
+ * once the heuristic is mapped through compiledHeuristic() and the
+ * cancel token is ignored. Twins compile and simulate to the same
+ * result, so an executor may run one and copy it to the others.
+ */
+bool twinCells(const ExperimentSpec &a, const ExperimentSpec &b);
+
+/** A hash consistent with twinCells(): twins hash equally. */
+std::size_t twinHash(const ExperimentSpec &spec);
+
+/**
  * Declarative cross-product of experiment axes. Expansion order is
  * row-major over (bench, arch, heuristic, unroll, alignment,
  * chains, versioning), with the benchmark as the slowest axis so

@@ -138,6 +138,9 @@ struct MachineConfig
     /** Short human-readable identifier for reports. */
     std::string describe() const;
 
+    /** Field-wise; defaulted so a new field is compared too. */
+    bool operator==(const MachineConfig &) const = default;
+
     /// @name Paper configurations (Table 2)
     /// @{
     /** Word-interleaved cache, no Attraction Buffers. */

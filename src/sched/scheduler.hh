@@ -9,11 +9,14 @@
  * communication and balances the workload (BASE). Memory
  * instructions follow the selected heuristic:
  *
- *  - BASE: like any other instruction (unified cache -- there is no
- *    locality to exploit).
- *  - IBC (Interleaved Build Chains): like any other instruction, but
- *    the whole memory dependent chain is pinned to the cluster the
- *    first-scheduled member lands in.
+ *  - BASE and IBC (Interleaved Build Chains): like any other
+ *    instruction. They differ only by the memory dependent chains
+ *    flag (SchedulerOptions::useChains), which the cache
+ *    organisation sets, not the heuristic: on an interleaved or
+ *    multiVLIW cache chains are needed for correctness, so each
+ *    chain is pinned to the cluster its first-scheduled member
+ *    lands in (IBC); on the unified cache they are off (BASE).
+ *    Either name therefore compiles the same schedule.
  *  - IPBC (Interleaved Pre-Build Chains): chains are pre-assigned to
  *    their average preferred cluster (profile-weighted) and memory
  *    instructions try that cluster first.
@@ -40,6 +43,20 @@ class SchedWorkspace;
 enum class Heuristic { Base, Ibc, Ipbc };
 
 const char *heuristicName(Heuristic h);
+
+/**
+ * The heuristic as the compiler reads it: Ipbc, or Base for both
+ * BASE and IBC. scheduleLoop() tests the heuristic only as
+ * `== Heuristic::Ipbc` (the preferred-cluster placement and the
+ * chain pre-assignment in scheduler.cc), and chains are switched on
+ * by the cache organisation (Toolchain::chainsEnabled()), so two
+ * cells whose heuristics map to one class compile identically.
+ */
+inline Heuristic
+compiledHeuristic(Heuristic h)
+{
+    return h == Heuristic::Ipbc ? Heuristic::Ipbc : Heuristic::Base;
+}
 
 /** Knobs of one scheduling run. */
 struct SchedulerOptions

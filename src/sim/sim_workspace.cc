@@ -119,6 +119,7 @@ SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
     // ---- Operands per item, in CSR form. ----
     k.opOffsets.resize(num_items + 1);
     k.operands.clear();
+    int max_distance = 0;
     for (std::size_t idx = 0; idx < num_items; ++idx) {
         k.opOffsets[idx] = std::int32_t(k.operands.size());
         const ProtoItem &proto =
@@ -153,16 +154,30 @@ SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
                     copy - sched.copies.data())];
             }
             k.operands.push_back({src_item, e.distance, e.src});
+            max_distance = std::max(max_distance, e.distance);
         }
     }
     k.opOffsets[num_items] = std::int32_t(k.operands.size());
 
-    // ---- Instance rings: recycled, gated by stamps. ----
-    // resize() value-initialises only new slots; stale slots hold
+    // ---- Instance rings: right-sized, recycled, gated by stamps. ----
+    // Instance j's slot is next written by instance j + depth, and
+    // its last reader runs at most distance + maxStage instances
+    // after j, so any depth above the bound asserted above keeps a
+    // value until it is read. Storage only grows; stale slots hold
     // stamps from finished runs, which can never match a future
     // instance stamp (stampBase_ is monotonic and starts at 1).
-    k.ring.resize(num_items * std::size_t(kRing));
-    k.loadCls.resize(num_items * std::size_t(kRing));
+    const int bound = max_distance +
+        std::max(sched.stageCount, k.maxStage + 1) + 2;
+    int depth = 1;
+    while (depth <= bound)
+        depth <<= 1;
+    vliw_assert(depth <= kRing, "instance ring deeper than ", kRing);
+    k.ringMask = depth - 1;
+    const std::size_t slots = num_items * std::size_t(depth);
+    if (k.ring.size() < slots) {
+        k.ring.resize(slots);
+        k.loadCls.resize(slots);
+    }
     return handle;
 }
 
@@ -195,12 +210,18 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
         return result;
     }
 
+    // Ring slot of instance j of an item (see Kernel::ring).
+    const std::size_t num_items = k.items.size();
+    const std::int64_t ring_mask = k.ringMask;
+    auto slotOf = [&](int item, std::int64_t j) {
+        return std::size_t(j & ring_mask) * num_items +
+            std::size_t(item);
+    };
+
     // ---- Stall-factor attribution (cold path: stalls only). ----
     auto attribute = [&](int blocker_item, std::int64_t j,
                          Cycles amount) {
-        const std::size_t slot =
-            std::size_t(blocker_item) * std::size_t(kRing) +
-            std::size_t(j % kRing);
+        const std::size_t slot = slotOf(blocker_item, j);
         vliw_assert(k.items[std::size_t(blocker_item)].kind ==
                         ItemKind::Load &&
                     k.ring[slot].stamp == base + j,
@@ -261,9 +282,7 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
                 const std::int64_t j = iter - op.distance;
                 if (j < 0)
                     continue;   // live-in value
-                const RingSlot &src = ring[
-                    std::size_t(op.srcItem) * std::size_t(kRing) +
-                    std::size_t(j % kRing)];
+                const RingSlot &src = ring[slotOf(op.srcItem, j)];
                 const Cycles avail =
                     src.stamp == base + j ? src.ready : 0;
                 if (avail > t_issue) {
@@ -275,9 +294,8 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
                 }
             }
 
-            RingSlot &slot = ring[
-                std::size_t(pos) * std::size_t(kRing) +
-                std::size_t(iter % kRing)];
+            const std::size_t at = slotOf(pos, iter);
+            RingSlot &slot = ring[at];
             slot.stamp = base + iter;
 
             switch (item.kind) {
@@ -311,9 +329,7 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
 
             if (item.kind == ItemKind::Load) {
                 slot.ready = res.readyCycle;
-                k.loadCls[std::size_t(pos) * std::size_t(kRing) +
-                          std::size_t(iter % kRing)] =
-                    std::uint8_t(res.cls);
+                k.loadCls[at] = std::uint8_t(res.cls);
             } else {
                 slot.ready = t_issue + 1;
             }

@@ -11,7 +11,8 @@
  *    SimKernel -- the issue-item list sorted by kernel cycle, the
  *    per-item operand list in CSR form, per-item kind/latency/access
  *    attributes, the periodic issue order (below), and the instance
- *    rings. Built once per compiled loop, reused across every
+ *    rings, sized to the kernel's own operand distances and stage
+ *    count. Built once per compiled loop, reused across every
  *    invocation and every data set.
  *
  *  - run(): execute a prepared kernel against a memory system. The
@@ -100,7 +101,8 @@ struct SimRunResult
 class SimWorkspace
 {
   public:
-    /** Ring depth for per-instance state; bounds distance + stages. */
+    /** Deepest instance ring; bounds distance + stages. Each kernel
+     *  uses the smallest power of two its own bound allows. */
     static constexpr int kRing = 512;
 
     SimWorkspace() = default;
@@ -183,10 +185,13 @@ class SimWorkspace
         std::vector<std::int32_t> opOffsets;
         std::vector<Operand> operands;
 
-        /** Instance rings, item-major: slot = item * kRing + j%kRing.
-         *  A slot is live only when its stamp matches the reader's
-         *  instance stamp; anything else reads as the seed
-         *  simulator's zero-initialised slot. */
+        /** Ring depth - 1; the depth is a power of two. */
+        int ringMask = 0;
+        /** Instance rings, iteration-major:
+         *  slot = (j & ringMask) * items.size() + item. A slot is
+         *  live only when its stamp matches the reader's instance
+         *  stamp; anything else reads as the seed simulator's
+         *  zero-initialised slot. Grow-only across prepares. */
         std::vector<RingSlot> ring;
         /** Access class of a load instance (valid iff stamp hits). */
         std::vector<std::uint8_t> loadCls;

@@ -24,6 +24,8 @@ struct ProfileOptions
 {
     /** Cap on profiled iterations per invocation (0 = all). */
     std::int64_t maxIterations = 0;
+
+    bool operator==(const ProfileOptions &) const = default;
 };
 
 /**

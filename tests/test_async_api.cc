@@ -23,6 +23,7 @@
 
 #include "api/api.hh"
 #include "engine/report.hh"
+#include "support/faultpoints.hh"
 
 namespace vliw {
 namespace {
@@ -276,6 +277,9 @@ TEST(AsyncApi, CancelBeforeStartSkipsEveryCell)
     SweepRequest sweepReq;
     sweepReq.workloads = {"gsmdec"};
     sweepReq.archs = {"interleaved", "unified5"};
+    // IBC cells follow their BASE twins: skipped leaders must skip
+    // their followers too.
+    sweepReq.schedulers = {"base", "ibc"};
     auto jobB = session.submit(sweepReq);
     jobB.cancel();
     EXPECT_EQ(jobB.poll(), JobPhase::Cancelling);
@@ -285,6 +289,7 @@ TEST(AsyncApi, CancelBeforeStartSkipsEveryCell)
     ASSERT_TRUE(resultB.ok());
     EXPECT_EQ(resultB.value().status.code(), StatusCode::Cancelled);
     EXPECT_EQ(resultB.value().completedCount(), 0u);
+    EXPECT_EQ(resultB.value().experiments.size(), 4u);
     for (const engine::ExperimentResult &cell :
          resultB.value().experiments)
         EXPECT_TRUE(cell.cancelled);
@@ -486,6 +491,178 @@ TEST(AsyncApi, RepeatedSweepReportsCacheHitsInFinishedEvent)
     EXPECT_EQ(direct.misses, after.misses);
     // The sweep's own result carries the same accounting.
     EXPECT_EQ(result.value().cache.hits, after.hits);
+}
+
+// ---- twin collapse: BASE and IBC cells run once ----
+
+/** Six cells, two twin sets: ibc follows base on each arch. */
+SweepRequest
+twinSweep()
+{
+    SweepRequest req;
+    req.workloads = {"gsmdec"};
+    req.archs = {"interleaved", "unified5"};
+    req.schedulers = {"base", "ibc", "ipbc"};
+    return req;
+}
+
+std::uint64_t
+collapsedCells(const Session &session)
+{
+    const metrics::Snapshot snap = session.metricsSnapshot();
+    const auto it = snap.counters.find("wivliw_cells_collapsed_total");
+    return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(TwinCollapse, CollapsedSweepMatchesUncollapsedReportBytes)
+{
+    Session uncollapsed{SessionOptions{.jobs = 2, .compileCache = false}};
+    const std::uint64_t before = collapsedCells(uncollapsed);
+    auto expected = uncollapsed.sweep(twinSweep());
+    ASSERT_TRUE(expected.ok()) << expected.status().toString();
+    EXPECT_EQ(collapsedCells(uncollapsed), before);
+
+    Session session{SessionOptions{.jobs = 2}};
+    auto got = session.sweep(twinSweep());
+    ASSERT_TRUE(got.ok()) << got.status().toString();
+    ASSERT_EQ(got.value().experiments.size(), 6u);
+    EXPECT_EQ(csvOf(got.value().experiments),
+              csvOf(expected.value().experiments));
+    // One follower per arch, and only the four leaders compiled.
+    EXPECT_EQ(collapsedCells(session), before + 2);
+    EXPECT_EQ(got.value().cache.hits + got.value().cache.misses, 4u);
+}
+
+TEST(TwinCollapse, EveryCellStreamsItsOwnEventsInOrder)
+{
+    Session session{SessionOptions{.jobs = 2}};
+    RecordingSink sink;
+    SubmitOptions opts;
+    opts.events = &sink;
+    auto result = session.submit(twinSweep(), opts).take();
+    ASSERT_TRUE(result.ok()) << result.status().toString();
+    const std::vector<engine::ExperimentResult> &cells =
+        result.value().experiments;
+    ASSERT_EQ(cells.size(), 6u);
+
+    const std::vector<JobEvent> events = sink.events();
+    EXPECT_EQ(events.front().progress.total, 6);
+    EXPECT_EQ(sink.count(EventKind::CellCompiled), 6u);
+    EXPECT_EQ(sink.count(EventKind::CellSimulated), 6u);
+    EXPECT_EQ(sink.count(EventKind::Progress), 6u);
+    int done = 0;
+    for (const JobEvent &e : events) {
+        if (e.kind != EventKind::Progress)
+            continue;
+        EXPECT_EQ(e.progress.done, done + 1);
+        done = e.progress.done;
+    }
+    for (std::size_t cell = 0; cell < cells.size(); ++cell) {
+        std::ptrdiff_t compiledAt = -1, simulatedAt = -1;
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            if (events[i].cell != cell ||
+                (events[i].kind != EventKind::CellCompiled &&
+                 events[i].kind != EventKind::CellSimulated))
+                continue;
+            EXPECT_EQ(events[i].label, cells[cell].spec.label());
+            (events[i].kind == EventKind::CellCompiled ? compiledAt
+                                                       : simulatedAt) =
+                std::ptrdiff_t(i);
+        }
+        EXPECT_GE(compiledAt, 0) << "cell " << cell;
+        EXPECT_GT(simulatedAt, compiledAt) << "cell " << cell;
+    }
+
+    // Grid order is arch-major: cells 1 and 4 are the IBC followers.
+    for (const std::size_t follower : {1u, 4u}) {
+        const engine::ExperimentResult &cell = cells[follower];
+        EXPECT_EQ(cell.spec.opts.heuristic, Heuristic::Ibc);
+        EXPECT_EQ(cell.compileMs, 0.0);
+        EXPECT_EQ(cell.simulateMs, 0.0);
+        engine::ExperimentResult leader = cells[follower - 1];
+        EXPECT_EQ(leader.spec.opts.heuristic, Heuristic::Base);
+        leader.spec = cell.spec;
+        EXPECT_EQ(csvOf({cell}), csvOf({leader}))
+            << "a follower is its leader's result under its own spec";
+    }
+}
+
+TEST(TwinCollapse, DeadlineOnTheLeaderReachesItsFollower)
+{
+    // The only leader sleeps through the deadline before its first
+    // cancellation check, deterministically on any build.
+    struct FaultGuard
+    {
+        FaultGuard() { faults::disarm(); }
+        ~FaultGuard() { faults::disarm(); }
+    } guard;
+    ASSERT_TRUE(faults::arm("engine.cell=delay:600"));
+    Session session{SessionOptions{.jobs = 1}};
+    SweepRequest req;
+    req.workloads = {"gsmdec"};
+    req.archs = {"interleaved"};
+    req.schedulers = {"base", "ibc"};
+    SubmitOptions opts;
+    opts.deadlineMs = 100;
+    auto result = session.submit(req, opts).take();
+
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().status.code(),
+              StatusCode::DeadlineExceeded);
+    ASSERT_EQ(result.value().experiments.size(), 2u);
+    for (const engine::ExperimentResult &cell :
+         result.value().experiments)
+        EXPECT_TRUE(cell.cancelled) << cell.spec.label();
+}
+
+TEST(TwinCollapse, FailedLeaderFailsItsFollower)
+{
+    class ThrowingSink : public api::EventSink
+    {
+      public:
+        void
+        handle(const JobEvent &event) override
+        {
+            if (event.kind == EventKind::CellCompiled)
+                throw std::runtime_error("sink exploded");
+        }
+    };
+    Session session;
+    ThrowingSink sink;
+    SweepRequest req;
+    req.workloads = {"gsmdec"};
+    req.archs = {"interleaved"};
+    req.schedulers = {"base", "ibc"};
+    SubmitOptions opts;
+    opts.events = &sink;
+    auto result = session.submit(req, opts).take();
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result.value().experiments.size(), 2u);
+    for (const engine::ExperimentResult &cell :
+         result.value().experiments) {
+        EXPECT_FALSE(cell.cancelled);
+        EXPECT_EQ(api::detail::cellStatus(cell).code(),
+                  StatusCode::Internal);
+        EXPECT_NE(cell.error.find("sink exploded"), std::string::npos);
+    }
+}
+
+TEST(TwinCollapse, CappedJobCountsLeadersAndFinishes)
+{
+    Session session{SessionOptions{.jobs = 2}};
+    auto expected = session.sweep(twinSweep());
+    ASSERT_TRUE(expected.ok());
+
+    SubmitOptions opts;
+    opts.maxInFlight = 1;
+    auto job = session.submit(twinSweep(), opts);
+    ASSERT_TRUE(job.waitFor(std::chrono::seconds(60)))
+        << "capped twin job never finished";
+    auto result = job.take();
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().completedCount(), 6u);
+    EXPECT_EQ(csvOf(result.value().experiments),
+              csvOf(expected.value().experiments));
 }
 
 } // namespace

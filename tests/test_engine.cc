@@ -17,6 +17,7 @@
 #include <set>
 #include <sstream>
 
+#include "ddg/mii.hh"
 #include "dist/artifact.hh"
 #include "dist/compile_store.hh"
 #include "engine/compile_cache.hh"
@@ -27,6 +28,7 @@
 #include "workloads/dataset.hh"
 #include "workloads/mediabench.hh"
 #include "workloads/profiler.hh"
+#include "util_random_ddg.hh"
 
 namespace vliw {
 namespace {
@@ -686,6 +688,150 @@ TEST(FrontTier, FactorOneFrontProfileIsTheOriginalBodyProfile)
                 << name << "/" << loop.name;
         }
     }
+}
+
+// ---- twin cells (BASE/IBC) ----
+
+/** The 14 builtins x 5 paper archs, as in the default grid. */
+std::vector<std::pair<std::string, MachineConfig>>
+paperArchs()
+{
+    return {{"interleaved", MachineConfig::paperInterleaved()},
+            {"interleaved-ab", MachineConfig::paperInterleavedAb()},
+            {"unified1", MachineConfig::paperUnified(1)},
+            {"unified5", MachineConfig::paperUnified(5)},
+            {"multivliw", MachineConfig::paperMultiVliw()}};
+}
+
+TEST(TwinCells, BaseAndIbcCompileToIdenticalArtifacts)
+{
+    // engine::twinCells() runs one of BASE/IBC and copies its result
+    // to the other. That is only sound while the two compile to the
+    // same bytes on every workload, arch and option the grid has.
+    engine::CompileCache cache;
+    for (const std::string &name : mediabenchNames()) {
+        const BenchmarkSpec bench = makeBenchmark(name);
+        for (const auto &[arch, cfg] : paperArchs()) {
+            for (const bool versioning : {false, true}) {
+                for (const bool hints : {false, true}) {
+                    ToolchainOptions base;
+                    base.heuristic = Heuristic::Base;
+                    base.loopVersioning = versioning;
+                    base.abHints = hints;
+                    ToolchainOptions ibc = base;
+                    ibc.heuristic = Heuristic::Ibc;
+                    const std::string key =
+                        engine::compileKey(cfg, base, bench.name);
+                    EXPECT_EQ(
+                        dist::encodeArtifact(
+                            *cache.compile(cfg, base, bench), key),
+                        dist::encodeArtifact(
+                            *cache.compile(cfg, ibc, bench), key))
+                        << name << "/" << arch
+                        << (versioning ? "/versioned" : "")
+                        << (hints ? "/hints" : "")
+                        << ": BASE and IBC compile differently, so "
+                           "engine::twinCells() must stop treating "
+                           "them as twins (see compiledHeuristic())";
+                }
+            }
+        }
+    }
+}
+
+TEST(TwinCells, BaseAndIbcScheduleRandomLoopsIdentically)
+{
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    const LatencyScheme scheme = LatencyScheme::fourClass(cfg);
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        const auto loop =
+            testutil::makeRandomLoop(seed, cfg.numClusters);
+        const auto circuits = findCircuits(loop.ddg);
+        const LatencyAssignment lat = assignLatencies(
+            loop.ddg, circuits, loop.profile, scheme, cfg);
+        const int mii = std::max(
+            lat.miiTarget,
+            computeMii(loop.ddg, circuits, lat.latencies, cfg));
+        for (const bool chains : {true, false}) {
+            std::string encoded[2];
+            for (const Heuristic h : {Heuristic::Base, Heuristic::Ibc}) {
+                SchedulerOptions opts;
+                opts.heuristic = h;
+                opts.useChains = chains;
+                opts.maxIiTries = 128;
+                auto out = scheduleLoop(loop.ddg, circuits,
+                                        lat.latencies, loop.profile,
+                                        cfg, mii, opts);
+                ASSERT_TRUE(out.has_value()) << "seed " << seed;
+                CompiledBenchmark wrapped;
+                wrapped.name = "random";
+                CompiledLoop &compiled =
+                    wrapped.loops.emplace_back().primary;
+                compiled.name = "loop";
+                compiled.ddg = loop.ddg;
+                compiled.profile = loop.profile;
+                compiled.latency = lat;
+                compiled.sched = std::move(*out);
+                compiled.mii = mii;
+                encoded[h == Heuristic::Ibc] =
+                    dist::encodeArtifact(wrapped, "random");
+            }
+            EXPECT_EQ(encoded[0], encoded[1])
+                << "seed " << seed << (chains ? " chains" : "")
+                << ": BASE and IBC schedule differently, so "
+                   "engine::twinCells() must stop treating them as "
+                   "twins (see compiledHeuristic())";
+        }
+    }
+}
+
+TEST(TwinCells, TwinsDifferOnlyByTheHeuristicClass)
+{
+    ExperimentSpec base;
+    base.bench = "gsmdec";
+    base.arch = engine::makeArch("interleaved");
+    base.opts.heuristic = Heuristic::Base;
+
+    ExperimentSpec ibc = base;
+    ibc.opts.heuristic = Heuristic::Ibc;
+    const std::atomic<bool> token{false};
+    ibc.opts.cancel = &token;    // never compile-relevant
+    EXPECT_TRUE(engine::twinCells(base, ibc));
+    EXPECT_EQ(engine::twinHash(base), engine::twinHash(ibc));
+
+    auto differs = [&](auto edit) {
+        ExperimentSpec other = ibc;
+        edit(other);
+        return !engine::twinCells(base, other);
+    };
+    EXPECT_TRUE(differs([](ExperimentSpec &s) {
+        s.opts.heuristic = Heuristic::Ipbc;
+    }));
+    EXPECT_TRUE(differs([](ExperimentSpec &s) {
+        s.arch = engine::makeArch("interleaved-ab");
+    }));
+    EXPECT_TRUE(differs([](ExperimentSpec &s) {
+        s.arch.config.memBuses += 1;    // simulation-only hardware
+    }));
+    EXPECT_TRUE(differs([](ExperimentSpec &s) {
+        s.execSeeds = {1, 2};
+    }));
+    EXPECT_TRUE(differs([](ExperimentSpec &s) {
+        s.opts.varAlignment = false;
+    }));
+    EXPECT_TRUE(differs([](ExperimentSpec &s) {
+        s.bench = "gsmenc";
+    }));
+    EXPECT_TRUE(differs([](ExperimentSpec &s) {
+        auto custom = std::make_shared<BenchmarkSpec>(
+            makeBenchmark("gsmdec"));
+        custom->fingerprint = "0123456789abcdef";
+        s.workload = custom;
+    }));
+    // The arch's name is a label, not an input.
+    EXPECT_FALSE(differs([](ExperimentSpec &s) {
+        s.arch.name = "alias";
+    }));
 }
 
 // ---- determinism ----

@@ -204,9 +204,9 @@ TEST(Fairness, SmallClientFinishesInBoundedWindowUnderGreedyLoad)
 {
     SweepRequest greedy;
     greedy.workloads = {"gsmdec"};
-    greedy.archs = {"interleaved", "interleaved-ab"};
-    greedy.schedulers = {"base", "ibc", "ipbc"};
-    greedy.alignment = {true, false};    // 2*3*2 = 12 cells
+    greedy.archs = {"interleaved", "interleaved-ab", "multivliw"};
+    greedy.schedulers = {"base", "ipbc"};
+    greedy.alignment = {true, false};    // 3*2*2 = 12 distinct cells
 
     RunRequest small;
     small.workload = "gsmdec";

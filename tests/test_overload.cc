@@ -266,8 +266,8 @@ TEST(Deadline, SweepKeepsCompletedPrefixOnDeadlineExceeded)
     api::Session session(api::SessionOptions{});
     api::SweepRequest sweep;
     sweep.workloads = {"gsmdec"};
-    sweep.archs = {"interleaved"};
-    sweep.schedulers = {"base", "ibc", "ipbc"};
+    // Three distinct cells: each runs (and fires engine.cell) itself.
+    sweep.archs = {"interleaved", "interleaved-ab", "unified5"};
     api::SubmitOptions submit;
     submit.deadlineMs = 700;
     auto handle = session.submit(sweep, submit);

@@ -537,8 +537,8 @@ TEST(ServeDaemon, DrainBudgetCancelsStragglersOnShutdown)
         R"({"op":"faults","spec":"engine.cell=delay:500"})");
     EXPECT_TRUE(daemon.readResponse().getBool("ok"));
     daemon.send(R"({"op":"submit","workloads":["gsmdec"],)"
-                R"("archs":["interleaved"],)"
-                R"("schedulers":["base","ibc","ipbc"]})");
+                R"("archs":["interleaved","interleaved-ab",)"
+                R"("unified5"]})");
     EXPECT_TRUE(daemon.readResponse().getBool("ok"));
     daemon.send(R"({"op":"shutdown"})");
     EXPECT_TRUE(daemon.readResponse().getBool("ok"));
@@ -615,8 +615,8 @@ TEST(ServeDaemon, DeadlineExceededJobKeepsPartialResults)
     EXPECT_TRUE(daemon.readResponse().getBool("ok"));
 
     daemon.send(R"({"op":"submit","workloads":["gsmdec"],)"
-                R"("archs":["interleaved"],)"
-                R"("schedulers":["base","ibc","ipbc"],)"
+                R"("archs":["interleaved","interleaved-ab",)"
+                R"("unified5"],)"
                 R"("deadline-ms":1200})");
     const json::Value resp = daemon.readResponse();
     EXPECT_TRUE(resp.getBool("ok"));

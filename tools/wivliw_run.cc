@@ -149,7 +149,8 @@ usage(int code)
         "                     simulated as one batch per job;\n"
         "                     dataset 0 is the classic single-input\n"
         "                     run, extra seeds derive from it\n"
-        "  --no-compile-cache recompile every arch variant\n"
+        "  --no-compile-cache recompile every arch variant and\n"
+        "                     run BASE/IBC twin cells separately\n"
         "  --timing           per-job compile/simulate wall-time\n"
         "                     columns plus aggregated totals\n"
         "  --remote LIST      comma-separated wivliw_serve unix\n"
