@@ -9,11 +9,13 @@
 #ifndef WIVLIW_BENCH_BENCH_UTIL_HH
 #define WIVLIW_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "api/session.hh"
 #include "core/toolchain.hh"
-#include "engine/engine.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
 
@@ -33,45 +35,61 @@ makeOpts(Heuristic h, UnrollPolicy unroll = UnrollPolicy::Selective,
 }
 
 /**
- * The shared batch engine behind every harness in bench/: one
- * worker pool sized to the machine and one compile cache that
- * persists across experiment arms, so e.g. the interleaved and
+ * The shared session behind every harness in bench/: one worker
+ * pool sized to the machine and one compile cache that persists
+ * across experiment arms, so e.g. the interleaved and
  * interleaved-ab arms of one figure compile the suite once.
  * Results are bit-identical to the serial Toolchain loop.
  */
-inline engine::ExperimentEngine &
-sharedEngine()
+inline api::Session &
+sharedSession()
 {
-    static engine::ExperimentEngine eng{engine::EngineOptions{
-        /*jobs=*/0, /*compileCache=*/true}};
-    return eng;
+    static api::Session session{api::SessionOptions{
+        .jobs = int(std::max(1u, std::thread::hardware_concurrency()))}};
+    return session;
 }
 
-/** Specs for the whole suite under one configuration arm. */
-inline std::vector<engine::ExperimentSpec>
-suiteSpecs(const std::string &archName, const MachineConfig &cfg,
-           const ToolchainOptions &opts)
+/**
+ * The whole Mediabench-like suite under one built-in architecture
+ * and one scheduler, unroll policy, alignment and chains setting,
+ * all named as in the session's registries.
+ */
+inline api::SweepRequest
+suiteSweep(const std::string &arch, const std::string &scheduler,
+           const std::string &unroll = "selective", bool aligned = true,
+           bool chains = true)
 {
-    std::vector<engine::ExperimentSpec> specs;
-    for (const std::string &bench : mediabenchNames()) {
-        engine::ExperimentSpec spec;
-        spec.bench = bench;
-        spec.arch = {archName, cfg};
-        spec.opts = opts;
-        specs.push_back(std::move(spec));
-    }
-    return specs;
+    api::SweepRequest req;
+    req.workloads = mediabenchNames();
+    req.archs = {arch};
+    req.schedulers = {scheduler};
+    req.unrolls = {unroll};
+    req.alignment = {aligned};
+    req.chains = {chains};
+    return req;
 }
 
-/** Run the whole Mediabench-like suite under one configuration. */
+/** The primary-data-set runs of a finished suite sweep. */
 inline std::vector<BenchmarkRun>
-runSuite(const MachineConfig &cfg, const ToolchainOptions &opts)
+suiteRuns(api::Result<api::SweepResult> result)
 {
+    vliw_assert(result.ok(), result.status().toString());
     std::vector<BenchmarkRun> runs;
-    for (engine::ExperimentResult &r :
-         sharedEngine().run(suiteSpecs(cfg.describe(), cfg, opts)))
+    for (engine::ExperimentResult &r : result.value().experiments) {
+        vliw_assert(!r.failed(), r.spec.label(), ": ", r.error);
         runs.push_back(std::move(r.datasetRuns.front()));
+    }
     return runs;
+}
+
+/** Run the suite under one configuration (see suiteSweep()). */
+inline std::vector<BenchmarkRun>
+runSuite(const std::string &arch, const std::string &scheduler,
+         const std::string &unroll = "selective", bool aligned = true,
+         bool chains = true)
+{
+    return suiteRuns(sharedSession().sweep(
+        suiteSweep(arch, scheduler, unroll, aligned, chains)));
 }
 
 /** Fraction of accesses in @p cls. */

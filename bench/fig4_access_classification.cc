@@ -26,7 +26,9 @@ namespace {
 struct Variant
 {
     const char *label;
-    ToolchainOptions opts;
+    const char *unroll;
+    bool aligned;
+    bool chains;
 };
 
 } // namespace
@@ -34,16 +36,11 @@ struct Variant
 int
 main()
 {
-    const MachineConfig cfg = MachineConfig::paperInterleaved();
     const std::vector<Variant> variants = {
-        {"no-unroll+align",
-         makeOpts(Heuristic::Ipbc, UnrollPolicy::None, true, true)},
-        {"OUF,no-align",
-         makeOpts(Heuristic::Ipbc, UnrollPolicy::Ouf, false, true)},
-        {"OUF+align",
-         makeOpts(Heuristic::Ipbc, UnrollPolicy::Ouf, true, true)},
-        {"OUF+align,no-chains",
-         makeOpts(Heuristic::Ipbc, UnrollPolicy::Ouf, true, false)},
+        {"no-unroll+align", "none", true, true},
+        {"OUF,no-align", "ouf", false, true},
+        {"OUF+align", "ouf", true, true},
+        {"OUF+align,no-chains", "ouf", true, false},
     };
 
     std::printf("Figure 4: memory access classification (IPBC)\n");
@@ -52,7 +49,10 @@ main()
     std::vector<double> amean_lh(variants.size(), 0.0);
 
     for (std::size_t vi = 0; vi < variants.size(); ++vi) {
-        const auto runs = runSuite(cfg, variants[vi].opts);
+        const Variant &v = variants[vi];
+        const auto runs =
+            runSuite("interleaved", "ipbc", v.unroll, v.aligned,
+                     v.chains);
         std::printf("variant (%zu): %s\n", vi + 1,
                     variants[vi].label);
         TextTable tab({"benchmark", "local_hit", "remote_hit",

@@ -25,8 +25,6 @@ using namespace vliw::bench;
 int
 main()
 {
-    const MachineConfig cfg = MachineConfig::paperInterleaved();
-
     std::printf("Figure 5: causes of stalling remote hits\n");
     std::printf("========================================\n\n");
 
@@ -34,7 +32,8 @@ main()
     for (int hi = 0; hi < 2; ++hi) {
         const Heuristic h = hi == 0 ? Heuristic::Ibc
                                     : Heuristic::Ipbc;
-        const auto runs = runSuite(cfg, makeOpts(h));
+        const auto runs =
+            runSuite("interleaved", hi == 0 ? "ibc" : "ipbc");
         std::printf("%s (selective unrolling, no ABs)\n",
                     heuristicName(h));
         TextTable tab({"benchmark", "multi-cluster",

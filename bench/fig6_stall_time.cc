@@ -20,15 +20,10 @@ using namespace vliw::bench;
 int
 main()
 {
-    const MachineConfig plain = MachineConfig::paperInterleaved();
-    const MachineConfig with_ab =
-        MachineConfig::paperInterleavedAb();
-
-    const auto ibc = runSuite(plain, makeOpts(Heuristic::Ibc));
-    const auto ibc_ab = runSuite(with_ab, makeOpts(Heuristic::Ibc));
-    const auto ipbc = runSuite(plain, makeOpts(Heuristic::Ipbc));
-    const auto ipbc_ab =
-        runSuite(with_ab, makeOpts(Heuristic::Ipbc));
+    const auto ibc = runSuite("interleaved", "ibc");
+    const auto ibc_ab = runSuite("interleaved-ab", "ibc");
+    const auto ipbc = runSuite("interleaved", "ipbc");
+    const auto ipbc_ab = runSuite("interleaved-ab", "ipbc");
 
     std::printf("Figure 6: stall time by access class "
                 "(normalised to IBC without ABs)\n");

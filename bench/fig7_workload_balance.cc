@@ -21,14 +21,10 @@ using namespace vliw::bench;
 int
 main()
 {
-    const MachineConfig cfg = MachineConfig::paperInterleaved();
-    const auto none =
-        runSuite(cfg, makeOpts(Heuristic::Ipbc, UnrollPolicy::None));
-    const auto ouf =
-        runSuite(cfg, makeOpts(Heuristic::Ipbc, UnrollPolicy::Ouf));
-    const auto nochain = runSuite(
-        cfg, makeOpts(Heuristic::Ipbc, UnrollPolicy::Ouf, true,
-                      false));
+    const auto none = runSuite("interleaved", "ipbc", "none");
+    const auto ouf = runSuite("interleaved", "ipbc", "ouf");
+    const auto nochain =
+        runSuite("interleaved", "ipbc", "ouf", true, false);
 
     std::printf("Figure 7: workload balance (IPBC; 0.25 = "
                 "perfect)\n");

@@ -25,37 +25,24 @@ using namespace vliw::bench;
 int
 main()
 {
-    // All five arms go to the experiment engine as one batch so the
+    // All five arms are submitted before any is waited on, so the
     // worker pool spans the whole figure, not one arm at a time.
-    struct Arm { std::string arch; Heuristic h; };
-    const std::vector<Arm> arms = {
-        {"unified1", Heuristic::Base},
-        {"interleaved-ab", Heuristic::Ipbc},
-        {"interleaved-ab", Heuristic::Ibc},
-        {"multivliw", Heuristic::Ibc},
-        {"unified5", Heuristic::Base},
+    const std::pair<const char *, const char *> arms[] = {
+        {"unified1", "base"},
+        {"interleaved-ab", "ipbc"},
+        {"interleaved-ab", "ibc"},
+        {"multivliw", "ibc"},
+        {"unified5", "base"},
     };
-    std::vector<engine::ExperimentSpec> specs;
-    for (const Arm &arm : arms) {
-        for (engine::ExperimentSpec &spec : suiteSpecs(
-                 arm.arch, engine::makeArch(arm.arch).config,
-                 makeOpts(arm.h)))
-            specs.push_back(std::move(spec));
-    }
-    const auto results = sharedEngine().run(specs);
-
-    const std::size_t n = mediabenchNames().size();
-    auto arm_slice = [&](std::size_t arm) {
-        std::vector<BenchmarkRun> runs;
-        for (std::size_t i = 0; i < n; ++i)
-            runs.push_back(results[arm * n + i].run());
-        return runs;
-    };
-    const auto base = arm_slice(0);
-    const auto ipbc = arm_slice(1);
-    const auto ibc = arm_slice(2);
-    const auto mv = arm_slice(3);
-    const auto u5 = arm_slice(4);
+    std::vector<api::JobHandle<api::SweepResult>> jobs;
+    for (const auto &[arch, scheduler] : arms)
+        jobs.push_back(
+            sharedSession().submit(suiteSweep(arch, scheduler)));
+    const auto base = suiteRuns(jobs[0].take());
+    const auto ipbc = suiteRuns(jobs[1].take());
+    const auto ibc = suiteRuns(jobs[2].take());
+    const auto mv = suiteRuns(jobs[3].take());
+    const auto u5 = suiteRuns(jobs[4].take());
 
     std::printf("Figure 8: cycle counts normalised to unified "
                 "(L=1); 'c+s' = compute + stall\n");

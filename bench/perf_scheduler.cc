@@ -4,7 +4,7 @@
  *
  * google-benchmark mode (default): microbenchmarks of circuit
  * enumeration, SMS ordering, latency assignment, the clustered
- * modulo scheduler, and the experiment-engine sweep. These bound
+ * modulo scheduler, and api::Session sweeps. These bound
  * the compile-time cost of the proposed techniques.
  *
  * A/B mode (`perf_scheduler --ab`): the fixed workload behind
@@ -37,10 +37,10 @@
 
 #include <iostream>
 
+#include "api/session.hh"
 #include "core/toolchain.hh"
 #include "ddg/mii.hh"
 #include "ddg/unroll.hh"
-#include "engine/engine.hh"
 #include "sched/latency_assign.hh"
 #include "sched/scheduler.hh"
 #include "sched/sms_order.hh"
@@ -209,28 +209,27 @@ BM_SimulateBenchmark(benchmark::State &state)
 }
 BENCHMARK(BM_SimulateBenchmark);
 
-// ---- experiment engine (the batch path everything above feeds) ----
+// ---- api::Session sweeps (the batch path everything above feeds) ----
 
-engine::ExperimentGrid
-sweepGrid()
+api::SweepRequest
+sweepRequest(int jobs)
 {
-    engine::ExperimentGrid grid;
-    grid.benches = {"gsmdec", "rasta", "epicdec"};
-    grid.archs = {};   // all five architectures
-    return grid;
+    api::SweepRequest req;
+    req.workloads = {"gsmdec", "rasta", "epicdec"};
+    req.archs = {};   // all five architectures
+    req.jobs = jobs;
+    return req;
 }
 
 /** Whole grid, compiling every cell from scratch. */
 void
 BM_EngineSweepCold(benchmark::State &state)
 {
-    const engine::ExperimentGrid grid = sweepGrid();
-    engine::EngineOptions opts;
-    opts.jobs = int(state.range(0));
-    opts.compileCache = false;
+    const api::SweepRequest req = sweepRequest(int(state.range(0)));
     for (auto _ : state) {
-        engine::ExperimentEngine eng(opts);
-        benchmark::DoNotOptimize(eng.run(grid));
+        api::Session session{api::SessionOptions{
+            .jobs = req.jobs, .compileCache = false}};
+        benchmark::DoNotOptimize(session.sweep(req));
     }
 }
 BENCHMARK(BM_EngineSweepCold)->Arg(1)->Arg(4);
@@ -243,12 +242,10 @@ BENCHMARK(BM_EngineSweepCold)->Arg(1)->Arg(4);
 void
 BM_EngineSweepCached(benchmark::State &state)
 {
-    const engine::ExperimentGrid grid = sweepGrid();
-    engine::EngineOptions opts;
-    opts.jobs = int(state.range(0));
-    engine::ExperimentEngine eng(opts);
+    const api::SweepRequest req = sweepRequest(int(state.range(0)));
+    api::Session session{api::SessionOptions{.jobs = req.jobs}};
     for (auto _ : state)
-        benchmark::DoNotOptimize(eng.run(grid));
+        benchmark::DoNotOptimize(session.sweep(req));
 }
 BENCHMARK(BM_EngineSweepCached)->Arg(1)->Arg(4);
 

@@ -33,8 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "api/registries.hh"
 #include "core/toolchain.hh"
-#include "engine/experiment.hh"
 #include "workloads/mediabench.hh"
 
 using namespace vliw;
@@ -154,13 +154,13 @@ struct AbMetrics
 /** One compiled suite under one architecture. */
 struct PreparedArch
 {
-    engine::ArchSpec arch;
     Toolchain chain;
     std::vector<BenchmarkSpec> benches;
     std::vector<CompiledBenchmark> compiled;
 
     PreparedArch(const std::string &name, const ToolchainOptions &opts)
-        : arch(engine::makeArch(name)), chain(arch.config, opts)
+        : chain(api::builtinRegistries().archs.resolve(name).value(),
+                opts)
     {
         for (const BenchmarkSpec &bench : mediabenchSuite()) {
             benches.push_back(bench);

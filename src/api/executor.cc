@@ -141,10 +141,16 @@ followerResult(JobCore &core, int cell,
 
 } // namespace
 
-AsyncExecutor::AsyncExecutor(engine::ExperimentEngine &engine,
-                             int threads, AdmissionLimits limits)
-    : engine_(engine), limits_(limits), pool_(std::max(1, threads))
+AsyncExecutor::AsyncExecutor(engine::CompileCache *cache, int threads,
+                             AdmissionLimits limits)
+    : cache_(cache), limits_(limits), pool_(std::max(1, threads))
 {
+}
+
+engine::CompileCacheStats
+AsyncExecutor::cacheStats() const
+{
+    return cache_ ? cache_->stats() : engine::CompileCacheStats{};
 }
 
 AsyncExecutor::~AsyncExecutor()
@@ -267,7 +273,7 @@ AsyncExecutor::submit(std::vector<engine::ExperimentSpec> specs,
         {
             std::lock_guard<std::mutex> lock(core->mu);
             core->finalStatus = rejected;
-            core->cacheAtFinish = engine_.cacheStats();
+            core->cacheAtFinish = cacheStats();
         }
         JobEvent finished;
         finished.kind = EventKind::JobFinished;
@@ -300,7 +306,7 @@ AsyncExecutor::submit(std::vector<engine::ExperimentSpec> specs,
     // Admission: enqueue every leader, or just the first window
     // when capped; runCell tops the window up as leaders retire and
     // retires each leader's twins with it.
-    planCells(*core, engine_.options().compileCache);
+    planCells(*core, cache_ != nullptr);
     const std::size_t window =
         core->maxInFlight > 0
             ? std::min(std::size_t(core->maxInFlight),
@@ -427,9 +433,6 @@ AsyncExecutor::runCell(const std::shared_ptr<JobCore> &core, int cell)
             // the cell as Internal (see EventSink's contract).
             core->sink->handle(ev);
         };
-        engine::CompileCache *cache =
-            engine_.options().compileCache ? &engine_.cache()
-                                           : nullptr;
         // runExperiment never throws std exceptions past its own
         // catch; this backstop covers everything else (a sink
         // throwing a non-std type from the CellCompiled delivery)
@@ -438,7 +441,7 @@ AsyncExecutor::runCell(const std::shared_ptr<JobCore> &core, int cell)
         const auto cellStart = std::chrono::steady_clock::now();
         try {
             result = engine::runExperiment(
-                core->specs[std::size_t(cell)], cache, &hooks);
+                core->specs[std::size_t(cell)], cache_, &hooks);
         } catch (...) {
             result.spec = core->specs[std::size_t(cell)];
             result.error = "internal: exception escaped cell "
@@ -564,7 +567,7 @@ AsyncExecutor::finishLocked(const std::shared_ptr<JobCore> &core,
         finished.kind = EventKind::JobFinished;
         finished.status = final;
         finished.progress = progress;
-        finished.cache = engine_.cacheStats();
+        finished.cache = cacheStats();
         {
             std::lock_guard<std::mutex> lock(core->mu);
             core->finalStatus = final;

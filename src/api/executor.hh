@@ -66,7 +66,9 @@ struct AdmissionLimits
 class AsyncExecutor
 {
   public:
-    AsyncExecutor(engine::ExperimentEngine &engine, int threads,
+    /** @p cache is shared by every cell; null runs every cell in
+     *  full, compiling locally, with twin collapse off. */
+    AsyncExecutor(engine::CompileCache *cache, int threads,
                   AdmissionLimits limits = {});
 
     /** Drains every queued cell, then joins the pool. */
@@ -118,7 +120,10 @@ class AsyncExecutor
     void armDeadline(const std::shared_ptr<JobCore> &core);
     void watchdogMain();
 
-    engine::ExperimentEngine &engine_;
+    /** Cache accounting for JobFinished (zeros without a cache). */
+    engine::CompileCacheStats cacheStats() const;
+
+    engine::CompileCache *const cache_;
     std::atomic<JobId> nextId_{1};
 
     const AdmissionLimits limits_;

@@ -1,15 +1,15 @@
 /**
  * @file
  * The four capability registries behind the façade. Each replaces a
- * formerly closed axis — architectures (a private table inside
- * `engine::findArch`), schedulers (`enum class Heuristic`),
- * unrolling (`UnrollPolicy`), workloads (whatever `mediabench.cc`
- * hard-codes) — with an open, name-keyed registry that is seeded
- * with the paper's entries and accepts user registrations.
+ * formerly closed axis — architectures (a private name table),
+ * schedulers (`enum class Heuristic`), unrolling (`UnrollPolicy`),
+ * workloads (whatever `mediabench.cc` hard-codes) — with an open,
+ * name-keyed registry that is seeded with the paper's entries and
+ * accepts user registrations.
  *
  * `Registries::builtin()` returns a fresh set carrying only the
- * built-ins; `builtinRegistries()` is the shared immutable copy the
- * engine's name-resolution helpers consult. An `api::Session` owns
+ * built-ins; `builtinRegistries()` is the shared immutable copy for
+ * code that resolves names without a session. An `api::Session` owns
  * a mutable set of its own, so user registrations are scoped to the
  * session that made them.
  */
@@ -202,7 +202,8 @@ struct Registries
     static Registries builtin();
 };
 
-/** The shared immutable built-in set (engine name resolution). */
+/** The shared immutable built-in set (name resolution without a
+ *  session). */
 const Registries &builtinRegistries();
 
 } // namespace vliw::api

@@ -76,17 +76,15 @@ struct Session::Impl
 {
     SessionOptions opts;
     Registries registries = Registries::builtin();
-    engine::ExperimentEngine engine;
-    /** After engine: the executor's pool drains cells that still
-     *  reference the engine and its cache. */
+    engine::CompileCache cache;
+    /** After cache: the executor's pool drains cells that still
+     *  reference it. */
     detail::AsyncExecutor executor;
 
     explicit Impl(const SessionOptions &o)
         : opts(o),
-          engine(engine::EngineOptions{o.jobs, o.compileCache,
-                                       o.cacheCapacity,
-                                       makeStore(o)}),
-          executor(engine, o.jobs,
+          cache(o.cacheCapacity, makeStore(o)),
+          executor(o.compileCache ? &cache : nullptr, o.jobs,
                    detail::AdmissionLimits{o.maxQueuedCells,
                                            o.maxQueuedJobs})
     {
@@ -174,39 +172,79 @@ struct Session::Impl
                 "every sweep axis needs at least one entry");
         }
 
+        // Resolve every axis once, failing on the first bad name;
+        // empty workload/arch axes mean everything registered.
         const Registries &reg = registries;
-        for (const std::string &name : req.workloads) {
-            if (!reg.workloads.contains(name))
-                return reg.workloads.unknown(name);
+        const std::vector<std::string> &benches =
+            req.workloads.empty() ? reg.workloads.names()
+                                  : req.workloads;
+        const std::vector<std::string> &archKeys =
+            req.archs.empty() ? reg.archs.names() : req.archs;
+        std::vector<std::shared_ptr<const BenchmarkSpec>> workloads;
+        for (const std::string &name : benches) {
+            auto w = reg.workloads.resolve(name);
+            if (!w.ok())
+                return w.status();
+            workloads.push_back(w.take());
         }
-        for (const std::string &name : req.archs) {
-            if (auto r = reg.archs.resolve(name); !r.ok())
-                return r.status();
+        std::vector<engine::ArchSpec> archs;
+        for (const std::string &name : archKeys) {
+            auto cfg = reg.archs.resolve(name);
+            if (!cfg.ok())
+                return cfg.status();
+            archs.push_back({name, cfg.take()});
         }
+        std::vector<SchedulerChoice> schedulers;
         for (const std::string &name : req.schedulers) {
-            // resolve(), not contains(): parametric budget keys
-            // (`optimal:b5000ms`) must validate here too, so a bad
-            // grammar fails the sweep up front with context.
-            if (auto r = reg.schedulers.resolve(name); !r.ok())
-                return r.status();
+            // Parametric budget keys (`optimal:b5000ms`) validate
+            // here too, so a bad grammar fails the sweep up front.
+            auto h = reg.schedulers.resolve(name);
+            if (!h.ok())
+                return h.status();
+            schedulers.push_back(h.take());
         }
+        std::vector<UnrollPolicy> unrolls;
         for (const std::string &name : req.unrolls) {
-            if (!reg.unrolls.contains(name))
-                return reg.unrolls.unknown(name);
+            auto u = reg.unrolls.resolve(name);
+            if (!u.ok())
+                return u.status();
+            unrolls.push_back(u.take());
+        }
+        std::vector<std::uint64_t> seeds;
+        if (req.datasets > 1) {
+            for (int d = 0; d < req.datasets; ++d)
+                seeds.push_back(
+                    datasetSeed(req.options.execSeed, d));
         }
 
-        engine::ExperimentGrid grid;
-        grid.benches = req.workloads;
-        grid.archs = req.archs;
-        grid.heuristics = req.schedulers;
-        grid.unrolls = req.unrolls;
-        grid.alignment = req.alignment;
-        grid.chains = req.chains;
-        grid.versioning = req.versioning;
-        grid.datasets = req.datasets;
-        grid.base = req.options;
-        grid.registries = &reg;
-        return grid.expand();
+        // Row-major over (bench, arch, scheduler, unroll, alignment,
+        // chains, versioning), the benchmark slowest: all variants
+        // of one benchmark are adjacent, which keeps the compile
+        // cache effective under a bounded admission window.
+        std::vector<ToolchainOptions> variants;
+        for (const SchedulerChoice &h : schedulers)
+            for (const UnrollPolicy u : unrolls)
+                for (const bool align : req.alignment)
+                    for (const bool chain : req.chains)
+                        for (const bool ver : req.versioning) {
+                            ToolchainOptions &o =
+                                variants.emplace_back(req.options);
+                            o.heuristic = h.heuristic;
+                            o.optimalSolver = h.optimal;
+                            o.solverBudget = h.budget;
+                            o.unroll = u;
+                            o.varAlignment = align;
+                            o.memChains = chain;
+                            o.loopVersioning = ver;
+                        }
+        std::vector<engine::ExperimentSpec> out;
+        out.reserve(benches.size() * archs.size() * variants.size());
+        for (std::size_t bi = 0; bi < benches.size(); ++bi)
+            for (const engine::ArchSpec &arch : archs)
+                for (const ToolchainOptions &opts : variants)
+                    out.push_back({benches[bi], arch, opts, seeds,
+                                   workloads[bi]});
+        return out;
     }
 };
 
@@ -354,7 +392,7 @@ Session::compile(const RunRequest &req)
 
     try {
         if (impl_->opts.compileCache) {
-            return impl_->engine.cache().compile(
+            return impl_->cache.compile(
                 spec.value().arch.config, spec.value().opts,
                 *spec.value().workload);
         }
@@ -439,7 +477,7 @@ Session::sweep(const SweepRequest &req)
 engine::CompileCacheStats
 Session::cacheStats() const
 {
-    return impl_->engine.cacheStats();
+    return impl_->cache.stats();
 }
 
 metrics::Snapshot

@@ -3,8 +3,9 @@
  * The stable `vliw::api` façade: one supported entry point for
  * embedding wivliw as a library.
  *
- * An opaque Session wraps the Toolchain, the experiment engine and
- * its CompileCache behind value-type requests:
+ * An opaque Session wraps the Toolchain, the experiment-cell kernel
+ * (engine::runExperiment) and a CompileCache behind value-type
+ * requests; it is the one batch runner for single cells and sweeps:
  *
  *   api::Session session;
  *   auto res = session.run({.workload = "gsmdec",

@@ -503,14 +503,4 @@ Toolchain::runBenchmark(const BenchmarkSpec &bench) const
     return simulateBenchmark(bench, compileBenchmark(bench));
 }
 
-std::vector<BenchmarkRun>
-Toolchain::runSuite(const std::vector<BenchmarkSpec> &suite) const
-{
-    std::vector<BenchmarkRun> runs;
-    runs.reserve(suite.size());
-    for (const BenchmarkSpec &bench : suite)
-        runs.push_back(runBenchmark(bench));
-    return runs;
-}
-
 } // namespace vliw

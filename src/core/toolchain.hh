@@ -250,10 +250,6 @@ class Toolchain
     /** Compile and simulate every loop of @p bench. */
     BenchmarkRun runBenchmark(const BenchmarkSpec &bench) const;
 
-    /** Run the full suite. */
-    std::vector<BenchmarkRun>
-    runSuite(const std::vector<BenchmarkSpec> &suite) const;
-
     const MachineConfig &config() const { return cfg_; }
     const ToolchainOptions &options() const { return opts_; }
 

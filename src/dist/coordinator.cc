@@ -28,7 +28,7 @@ struct Cell
 };
 
 /**
- * The same row-major cross-product engine::ExperimentGrid::expand
+ * The same row-major cross-product api::Session's sweep expansion
  * produces: benchmark slowest, versioning fastest. The merged
  * report is byte-identical to the single-node sweep *because*
  * these orders agree.

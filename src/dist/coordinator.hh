@@ -8,7 +8,7 @@
  *
  * How identity is preserved: the coordinator expands the same
  * cross-product in the same row-major axis order as
- * engine::ExperimentGrid, submits every cell as its own
+ * api::Session's sweep expansion, submits every cell as its own
  * single-cell sweep, and retires the returned CSV rows in cell
  * (emit) order under one locally-built header. Each cell's rows
  * are deterministic functions of the cell alone, so sharding and

@@ -2,9 +2,7 @@
 
 #include <chrono>
 
-#include "engine/worker_pool.hh"
 #include "support/faultpoints.hh"
-#include "workloads/mediabench.hh"
 
 namespace vliw::engine {
 
@@ -63,15 +61,9 @@ runExperiment(const ExperimentSpec &spec, CompileCache *cache,
     // panic from a malformed custom workload) lands on this cell's
     // error slot instead of taking down the batch.
     try {
-        // Grid expansion resolves the workload through the
-        // registries; hand-built specs fall back to the built-in
-        // suite lookup.
-        std::shared_ptr<const BenchmarkSpec> workload = spec.workload;
-        if (!workload) {
-            workload = std::make_shared<const BenchmarkSpec>(
-                makeBenchmark(spec.bench));
-        }
-        const BenchmarkSpec &bench = *workload;
+        vliw_assert(spec.workload, "cell ", spec.label(),
+                    " has no resolved workload");
+        const BenchmarkSpec &bench = *spec.workload;
 
         // The cancel token rides on the options so the scheduler's
         // II-retry loop sees it; compileKey ignores it, so cached
@@ -157,44 +149,6 @@ runExperiment(const ExperimentSpec &spec, CompileCache *cache,
         result.datasetRuns.clear();
     }
     return result;
-}
-
-ExperimentEngine::ExperimentEngine(const EngineOptions &opts)
-    : opts_(opts), cache_(opts.cacheCapacity, opts.store)
-{
-}
-
-std::vector<ExperimentResult>
-ExperimentEngine::run(const std::vector<ExperimentSpec> &specs,
-                      std::optional<int> jobsOverride)
-{
-    std::vector<ExperimentResult> results(specs.size());
-
-    CompileCache *cache = opts_.compileCache ? &cache_ : nullptr;
-    const auto runJob = [&](std::size_t i) {
-        results[i] = runExperiment(specs[i], cache);
-    };
-
-    // With one worker the pool degenerates to serial FIFO anyway;
-    // run inline and spare callers like Session::run() (a one-spec
-    // batch per request) a thread spawn/join per call. Results are
-    // identical either way -- that is the determinism contract.
-    const int jobs = jobsOverride.value_or(opts_.jobs);
-    if (jobs == 1 || specs.size() <= 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            runJob(i);
-    } else {
-        WorkerPool pool(jobs);
-        parallelFor(pool, specs.size(), runJob);
-    }
-    return results;
-}
-
-std::vector<ExperimentResult>
-ExperimentEngine::run(const ExperimentGrid &grid,
-                      std::optional<int> jobsOverride)
-{
-    return run(grid.expand(), jobsOverride);
 }
 
 } // namespace vliw::engine

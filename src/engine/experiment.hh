@@ -1,23 +1,19 @@
 /**
  * @file
- * Experiment descriptions for the batch engine: a named machine
- * configuration (the paper's Table 2 points), a single experiment
- * (benchmark x architecture x toolchain options), and a declarative
- * grid whose expansion is the cross-product of its axes in a fixed,
- * documented order. The grid is what the paper's evaluation
- * (Figures 4-8, Table 1) actually is: every figure is one slice of
- * benchmarks x architectures x heuristics x unrolling policies.
+ * Experiment descriptions: a named machine configuration (the
+ * paper's Table 2 points), a single experiment cell (benchmark x
+ * architecture x toolchain options) and its result. A sweep is the
+ * cross-product of named axes; api::Session resolves and expands
+ * it into these specs.
  */
 
 #ifndef WIVLIW_ENGINE_EXPERIMENT_HH
 #define WIVLIW_ENGINE_EXPERIMENT_HH
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "api/registries.hh"
 #include "core/toolchain.hh"
 #include "machine/machine_config.hh"
 #include "support/logging.hh"
@@ -31,31 +27,11 @@ struct ArchSpec
     MachineConfig config;
 };
 
-/** The built-in architecture names, in report order. */
-const std::vector<std::string> &archNames();
-
-/**
- * Resolve an architecture through the built-in registry (exact
- * names and parametric keys like "interleaved:c8"); nullopt for
- * unknown names. Session-registered architectures resolve through
- * the session's own registries, not here.
- */
-std::optional<ArchSpec> findArch(const std::string &name);
-
-/** Like findArch(), but panics for unknown names. */
-ArchSpec makeArch(const std::string &name);
-
-/** Resolve a heuristic name through the built-in registry. */
-std::optional<Heuristic> findHeuristic(const std::string &name);
-
 /**
  * The scheduler column/label of a cell: the canonical budget key
  * for optimal-solver cells, heuristicName() otherwise.
  */
 std::string schedulerLabel(const ToolchainOptions &opts);
-
-/** Resolve an unroll-policy name through the built-in registry. */
-std::optional<UnrollPolicy> findUnrollPolicy(const std::string &name);
 
 /** One benchmark under one architecture with one option set. */
 struct ExperimentSpec
@@ -70,12 +46,10 @@ struct ExperimentSpec
      */
     std::vector<std::uint64_t> execSeeds;
     /**
-     * The resolved workload. Grid expansion fills this from the
-     * workload registry (once per benchmark, shared across the
-     * bench's cells, so custom session-registered workloads run
-     * through the engine like any built-in). Null makes the engine
-     * fall back to the built-in suite lookup by `bench` -- the
-     * pre-registry behaviour hand-built specs rely on.
+     * The resolved workload; required. Session resolution fills it
+     * from the workload registry (once per benchmark, shared across
+     * the bench's cells, so custom session-registered workloads run
+     * like any built-in).
      */
     std::shared_ptr<const BenchmarkSpec> workload;
 
@@ -95,55 +69,6 @@ bool twinCells(const ExperimentSpec &a, const ExperimentSpec &b);
 
 /** A hash consistent with twinCells(): twins hash equally. */
 std::size_t twinHash(const ExperimentSpec &spec);
-
-/**
- * Declarative cross-product of experiment axes. Expansion order is
- * row-major over (bench, arch, heuristic, unroll, alignment,
- * chains, versioning), with the benchmark as the slowest axis so
- * all arch/option variants of one benchmark are adjacent — that
- * adjacency is what makes the compile cache effective even with a
- * bounded job queue.
- */
-struct ExperimentGrid
-{
-    /** Benchmarks to run; empty means every registered workload. */
-    std::vector<std::string> benches;
-    /** Architectures; empty means every registered one. */
-    std::vector<std::string> archs;
-    /** Scheduler names resolved through the registry. */
-    std::vector<std::string> heuristics{"ipbc"};
-    /** Unroll-policy names resolved through the registry. */
-    std::vector<std::string> unrolls{"selective"};
-    std::vector<bool> alignment{true};
-    std::vector<bool> chains{true};
-    std::vector<bool> versioning{false};
-    /**
-     * Execution data sets per cell, batched within each job: seeds
-     * derive from base.execSeed via datasetSeed(), so dataset 0 is
-     * the classic single-input run and results for it are identical
-     * whatever the batch size.
-     */
-    int datasets = 1;
-    /** Seeds, profiling caps etc. shared by every cell. */
-    ToolchainOptions base;
-    /**
-     * Registries every name axis resolves through; null means the
-     * built-in set. `api::Session` points this at its own
-     * registries so user-registered entries expand like built-ins.
-     */
-    const api::Registries *registries = nullptr;
-
-    /** Number of experiments expand() will produce. */
-    std::size_t size() const;
-
-    /**
-     * Materialise the cross-product. Unknown names panic -- the
-     * façade validates every axis up front and reports
-     * `api::Status` instead, so only direct library misuse gets
-     * here.
-     */
-    std::vector<ExperimentSpec> expand() const;
-};
 
 /** Outcome of one experiment. */
 struct ExperimentResult

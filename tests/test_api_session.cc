@@ -93,11 +93,19 @@ TEST(Session, SweepMatchesRunPerCell)
     sweep.schedulers = {"base", "ipbc"};
     auto res = session.sweep(sweep);
     ASSERT_TRUE(res.ok()) << res.status().toString();
-    ASSERT_EQ(res.value().experiments.size(), 8u);
+    const auto &cells = res.value().experiments;
+    ASSERT_EQ(cells.size(), 8u);
+
+    // Row-major expansion, the benchmark slowest.
+    EXPECT_EQ(cells[0].spec.label(), "gsmdec/interleaved/BASE/selective");
+    EXPECT_EQ(cells[1].spec.label(), "gsmdec/interleaved/IPBC/selective");
+    EXPECT_EQ(cells[2].spec.label(), "gsmdec/unified5/BASE/selective");
+    EXPECT_EQ(cells[4].spec.label(), "rasta/interleaved/BASE/selective");
+    EXPECT_EQ(cells[7].spec.label(), "rasta/unified5/IPBC/selective");
 
     // Spot-check one cell against a fresh single run.
     const engine::ExperimentResult &cell =
-        res.value().experiments[5];   // gsmdec x unified5 order...
+        cells[5];   // rasta x interleaved x ipbc
     RunRequest req;
     req.workload = cell.spec.bench;
     req.arch = cell.spec.arch.name;

@@ -26,11 +26,11 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "api/registries.hh"
 #include "core/versioning.hh"
 #include "dist/artifact.hh"
 #include "dist/compile_store.hh"
 #include "engine/compile_cache.hh"
-#include "engine/experiment.hh"
 #include "support/blob.hh"
 #include "workloads/mediabench.hh"
 
@@ -44,29 +44,35 @@ namespace {
 constexpr const char *kGoldenPath =
     WIVLIW_GOLDEN_DIR "/artifact_gsmdec.wvaf";
 
+/** A built-in architecture's configuration. */
+MachineConfig
+archConfig(const std::string &arch)
+{
+    return api::builtinRegistries().archs.resolve(arch).value();
+}
+
 /** Compile one (bench, arch) cell with default toolchain options. */
 CompiledBenchmark
 compileCell(const std::string &bench, const std::string &arch)
 {
     const BenchmarkSpec spec = makeBenchmark(bench);
-    const engine::ArchSpec archSpec = engine::makeArch(arch);
     const ToolchainOptions opts;
-    const Toolchain chain(archSpec.config, opts);
+    const Toolchain chain(archConfig(arch), opts);
     return chain.compileBenchmark(spec);
 }
 
 std::string
 cellKey(const std::string &bench, const std::string &arch)
 {
-    const engine::ArchSpec archSpec = engine::makeArch(arch);
-    return engine::compileKey(archSpec.config, ToolchainOptions{},
+    return engine::compileKey(archConfig(arch), ToolchainOptions{},
                               bench);
 }
 
 TEST(ArtifactCodec, RoundTripsFullGridBitExactly)
 {
     for (const std::string &bench : mediabenchNames()) {
-        for (const std::string &arch : engine::archNames()) {
+        for (const std::string &arch :
+             api::builtinRegistries().archs.names()) {
             const CompiledBenchmark original =
                 compileCell(bench, arch);
             const std::string key = cellKey(bench, arch);
@@ -98,11 +104,11 @@ TEST(ArtifactCodec, DecodedArtifactSimulatesIdentically)
     // cycle/stat outcomes over decoded artifacts are the
     // end-to-end proof the distributed fabric can substitute a
     // stored artifact for a fresh compile.
-    for (const std::string &arch : engine::archNames()) {
+    for (const std::string &arch :
+         api::builtinRegistries().archs.names()) {
         const std::string bench = "gsmdec";
         const BenchmarkSpec spec = makeBenchmark(bench);
-        const engine::ArchSpec archSpec = engine::makeArch(arch);
-        const Toolchain chain(archSpec.config, ToolchainOptions{});
+        const Toolchain chain(archConfig(arch), ToolchainOptions{});
         const CompiledBenchmark original =
             chain.compileBenchmark(spec);
 

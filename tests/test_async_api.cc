@@ -491,6 +491,11 @@ TEST(AsyncApi, RepeatedSweepReportsCacheHitsInFinishedEvent)
     EXPECT_EQ(direct.misses, after.misses);
     // The sweep's own result carries the same accounting.
     EXPECT_EQ(result.value().cache.hits, after.hits);
+
+    // A blocking sweep is one more batch over the same cache.
+    ASSERT_TRUE(session.sweep(req).ok());
+    EXPECT_EQ(session.cacheStats().misses, 1u);
+    EXPECT_EQ(session.cacheStats().hits, after.hits + 2);
 }
 
 // ---- twin collapse: BASE and IBC cells run once ----

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for the batch experiment engine: grid expansion, the worker
- * pool, compile-result memoization (artifacts and loop front ends),
- * the determinism contract (parallel == serial == direct Toolchain,
- * bit for bit), and the report serialisers.
+ * Tests for the experiment engine as api::Session drives it: sweep
+ * expansion, the worker pool, compile-result memoization (artifacts
+ * and loop front ends), the determinism contract (parallel ==
+ * serial == direct Toolchain, bit for bit), and the report
+ * serialisers.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <set>
 #include <sstream>
 
+#include "api/session.hh"
 #include "ddg/mii.hh"
 #include "dist/artifact.hh"
 #include "dist/compile_store.hh"
@@ -33,10 +35,10 @@
 namespace vliw {
 namespace {
 
+using api::Session;
+using api::SessionOptions;
+using api::SweepRequest;
 using engine::CompileCacheStats;
-using engine::EngineOptions;
-using engine::ExperimentEngine;
-using engine::ExperimentGrid;
 using engine::ExperimentResult;
 using engine::ExperimentSpec;
 using engine::WorkerPool;
@@ -112,60 +114,53 @@ resultsEqual(const std::vector<ExperimentResult> &a,
     return ::testing::AssertionSuccess();
 }
 
-// ---- grid expansion ----
-
-TEST(ExperimentGrid, DefaultGridCoversSuiteTimesArchitectures)
+/** Run @p req on @p session; the sweep must be accepted. */
+std::vector<ExperimentResult>
+sweep(Session &session, const SweepRequest &req)
 {
-    ExperimentGrid grid;
-    EXPECT_EQ(grid.size(), mediabenchNames().size() *
-                               engine::archNames().size());
-    const auto specs = grid.expand();
-    ASSERT_EQ(specs.size(), grid.size());
+    auto res = session.sweep(req);
+    EXPECT_TRUE(res.ok()) << res.status().toString();
+    if (!res.ok())
+        return {};
+    return std::move(res.value().experiments);
+}
+
+// ---- sweep expansion ----
+
+TEST(SweepExpansion, DefaultGridCoversSuiteTimesArchitectures)
+{
+    Session session{SessionOptions{.jobs = 4}};
+    const auto results = sweep(session, SweepRequest{});
+    EXPECT_EQ(results.size(),
+              mediabenchNames().size() *
+                  api::builtinRegistries().archs.size());
 
     std::set<std::string> labels;
-    for (const ExperimentSpec &spec : specs)
-        labels.insert(spec.label());
-    EXPECT_EQ(labels.size(), specs.size()) << "labels not unique";
+    for (const ExperimentResult &r : results)
+        labels.insert(r.spec.label());
+    EXPECT_EQ(labels.size(), results.size()) << "labels not unique";
 }
 
-TEST(ExperimentGrid, ExpansionIsBenchMajorRowMajor)
+TEST(SweepExpansion, OptionAxesReachToolchainOptions)
 {
-    ExperimentGrid grid;
-    grid.benches = {"gsmdec", "rasta"};
-    grid.archs = {"interleaved", "unified1"};
-    grid.heuristics = {"base", "ipbc"};
-    const auto specs = grid.expand();
-    ASSERT_EQ(specs.size(), 8u);
-    EXPECT_EQ(specs[0].label(), "gsmdec/interleaved/BASE/selective");
-    EXPECT_EQ(specs[1].label(), "gsmdec/interleaved/IPBC/selective");
-    EXPECT_EQ(specs[2].label(), "gsmdec/unified1/BASE/selective");
-    EXPECT_EQ(specs[4].label(), "rasta/interleaved/BASE/selective");
-    EXPECT_EQ(specs[7].label(), "rasta/unified1/IPBC/selective");
-}
-
-TEST(ExperimentGrid, OptionAxesReachToolchainOptions)
-{
-    ExperimentGrid grid;
-    grid.benches = {"gsmdec"};
-    grid.archs = {"interleaved"};
-    grid.alignment = {true, false};
-    grid.chains = {true, false};
-    grid.versioning = {false, true};
-    const auto specs = grid.expand();
-    ASSERT_EQ(specs.size(), 8u);
-    EXPECT_TRUE(specs[0].opts.varAlignment);
-    EXPECT_TRUE(specs[0].opts.memChains);
-    EXPECT_FALSE(specs[0].opts.loopVersioning);
-    EXPECT_TRUE(specs[1].opts.loopVersioning);
-    EXPECT_FALSE(specs[2].opts.memChains);
-    EXPECT_FALSE(specs[4].opts.varAlignment);
-}
-
-TEST(ExperimentGrid, UnknownAxisNamesPanic)
-{
-    ExperimentGrid grid;
-    grid.archs = {"no-such-arch"};
-    EXPECT_THROW(grid.expand(), std::logic_error);
+    SweepRequest req;
+    req.workloads = {"gsmdec"};
+    req.archs = {"interleaved"};
+    req.alignment = {true, false};
+    req.chains = {true, false};
+    req.versioning = {false, true};
+    Session session{SessionOptions{.jobs = 4}};
+    const auto results = sweep(session, req);
+    ASSERT_EQ(results.size(), 8u);
+    EXPECT_TRUE(results[0].spec.opts.varAlignment);
+    EXPECT_TRUE(results[0].spec.opts.memChains);
+    EXPECT_FALSE(results[0].spec.opts.loopVersioning);
+    EXPECT_TRUE(results[1].spec.opts.loopVersioning);
+    EXPECT_FALSE(results[2].spec.opts.memChains);
+    EXPECT_FALSE(results[4].spec.opts.varAlignment);
+    EXPECT_EQ(results[7].spec.label(),
+              "gsmdec/interleaved/IPBC/selective/noalign/nochains/"
+              "versioned");
 }
 
 // ---- worker pool ----
@@ -334,51 +329,38 @@ TEST(CompileKey, CoversCompileRelevantInputs)
 
 TEST(CompileCache, SharesCompilesAcrossArchVariants)
 {
-    ExperimentGrid grid;
-    grid.benches = {"gsmdec", "rasta"};
-    grid.archs = {"interleaved", "interleaved-ab"};
+    SweepRequest req;
+    req.workloads = {"gsmdec", "rasta"};
+    req.archs = {"interleaved", "interleaved-ab"};
 
-    ExperimentEngine cached{EngineOptions{/*jobs=*/1, true}};
-    const auto warm = cached.run(grid);
+    Session cached{SessionOptions{.jobs = 1}};
+    const auto warm = sweep(cached, req);
     const CompileCacheStats stats = cached.cacheStats();
     EXPECT_EQ(stats.misses, 2u);    // one compile per benchmark
     EXPECT_EQ(stats.hits, 2u);      // one reuse per benchmark
-    for (const std::string &bench : grid.benches) {
+    for (const std::string &bench : req.workloads) {
         ASSERT_TRUE(stats.hitsByBench.count(bench)) << bench;
         EXPECT_GE(stats.hitsByBench.at(bench), 1u) << bench;
     }
 
     // Memoization must be invisible in the results.
-    ExperimentEngine cold{EngineOptions{/*jobs=*/1, false}};
-    const auto cold_results = cold.run(grid);
+    Session cold{SessionOptions{.jobs = 1, .compileCache = false}};
+    const auto cold_results = sweep(cold, req);
     EXPECT_TRUE(resultsEqual(warm, cold_results));
     EXPECT_EQ(cold.cacheStats().hits + cold.cacheStats().misses, 0u);
 }
 
 TEST(CompileCache, DistinctLatenciesDoNotShare)
 {
-    ExperimentGrid grid;
-    grid.benches = {"gsmdec"};
-    grid.archs = {"unified1", "unified5"};
-    grid.heuristics = {"base"};
+    SweepRequest req;
+    req.workloads = {"gsmdec"};
+    req.archs = {"unified1", "unified5"};
+    req.schedulers = {"base"};
 
-    ExperimentEngine eng{EngineOptions{/*jobs=*/1, true}};
-    eng.run(grid);
-    EXPECT_EQ(eng.cacheStats().misses, 2u);
-    EXPECT_EQ(eng.cacheStats().hits, 0u);
-}
-
-TEST(CompileCache, PersistsAcrossBatches)
-{
-    ExperimentGrid grid;
-    grid.benches = {"gsmdec"};
-    grid.archs = {"interleaved"};
-
-    ExperimentEngine eng{EngineOptions{/*jobs=*/2, true}};
-    eng.run(grid);
-    eng.run(grid);
-    EXPECT_EQ(eng.cacheStats().misses, 1u);
-    EXPECT_EQ(eng.cacheStats().hits, 1u);
+    Session session{SessionOptions{.jobs = 1}};
+    sweep(session, req);
+    EXPECT_EQ(session.cacheStats().misses, 2u);
+    EXPECT_EQ(session.cacheStats().hits, 0u);
 }
 
 TEST(CompileCache, CapacityEvictsLruAndCountsEvictions)
@@ -787,10 +769,13 @@ TEST(TwinCells, BaseAndIbcScheduleRandomLoopsIdentically)
 
 TEST(TwinCells, TwinsDifferOnlyByTheHeuristicClass)
 {
+    const api::ArchRegistry &archs = api::builtinRegistries().archs;
     ExperimentSpec base;
     base.bench = "gsmdec";
-    base.arch = engine::makeArch("interleaved");
+    base.arch = {"interleaved", archs.resolve("interleaved").value()};
     base.opts.heuristic = Heuristic::Base;
+    base.workload =
+        std::make_shared<const BenchmarkSpec>(makeBenchmark("gsmdec"));
 
     ExperimentSpec ibc = base;
     ibc.opts.heuristic = Heuristic::Ibc;
@@ -807,8 +792,9 @@ TEST(TwinCells, TwinsDifferOnlyByTheHeuristicClass)
     EXPECT_TRUE(differs([](ExperimentSpec &s) {
         s.opts.heuristic = Heuristic::Ipbc;
     }));
-    EXPECT_TRUE(differs([](ExperimentSpec &s) {
-        s.arch = engine::makeArch("interleaved-ab");
+    EXPECT_TRUE(differs([&](ExperimentSpec &s) {
+        s.arch = {"interleaved-ab",
+                  archs.resolve("interleaved-ab").value()};
     }));
     EXPECT_TRUE(differs([](ExperimentSpec &s) {
         s.arch.config.memBuses += 1;    // simulation-only hardware
@@ -821,6 +807,8 @@ TEST(TwinCells, TwinsDifferOnlyByTheHeuristicClass)
     }));
     EXPECT_TRUE(differs([](ExperimentSpec &s) {
         s.bench = "gsmenc";
+        s.workload = std::make_shared<const BenchmarkSpec>(
+            makeBenchmark("gsmenc"));
     }));
     EXPECT_TRUE(differs([](ExperimentSpec &s) {
         auto custom = std::make_shared<BenchmarkSpec>(
@@ -839,31 +827,29 @@ TEST(TwinCells, TwinsDifferOnlyByTheHeuristicClass)
 class EngineDeterminism : public ::testing::Test
 {
   protected:
-    static ExperimentGrid
+    static SweepRequest
     grid()
     {
-        ExperimentGrid g;
-        g.benches = {"gsmdec", "epicdec"};
-        g.archs = {"interleaved", "interleaved-ab", "unified5"};
-        g.heuristics = {"ipbc"};
-        return g;
+        SweepRequest req;
+        req.workloads = {"gsmdec", "epicdec"};
+        req.archs = {"interleaved", "interleaved-ab", "unified5"};
+        req.schedulers = {"ipbc"};
+        return req;
     }
 };
 
 TEST_F(EngineDeterminism, ParallelMatchesSerialBitForBit)
 {
-    ExperimentEngine serial{EngineOptions{/*jobs=*/1, true}};
-    ExperimentEngine parallel{EngineOptions{/*jobs=*/8, true}};
-    const auto a = serial.run(grid());
-    const auto b = parallel.run(grid());
-    EXPECT_TRUE(resultsEqual(a, b));
+    Session serial{SessionOptions{.jobs = 1}};
+    Session parallel{SessionOptions{.jobs = 8}};
+    EXPECT_TRUE(resultsEqual(sweep(serial, grid()),
+                             sweep(parallel, grid())));
 }
 
 TEST_F(EngineDeterminism, EngineMatchesDirectToolchain)
 {
-    ExperimentEngine eng{EngineOptions{/*jobs=*/4, true}};
-    const auto results = eng.run(grid());
-    for (const ExperimentResult &r : results) {
+    Session session{SessionOptions{.jobs = 4}};
+    for (const ExperimentResult &r : sweep(session, grid())) {
         const Toolchain chain(r.spec.arch.config, r.spec.opts);
         const BenchmarkRun direct =
             chain.runBenchmark(makeBenchmark(r.spec.bench));
@@ -874,9 +860,9 @@ TEST_F(EngineDeterminism, EngineMatchesDirectToolchain)
 
 TEST_F(EngineDeterminism, RepeatedRunsAreIdentical)
 {
-    ExperimentEngine eng{EngineOptions{/*jobs=*/8, true}};
-    const auto a = eng.run(grid());
-    const auto b = eng.run(grid());
+    Session session{SessionOptions{.jobs = 8}};
+    const auto a = sweep(session, grid());
+    const auto b = sweep(session, grid());
     EXPECT_TRUE(resultsEqual(a, b));
 }
 
@@ -884,13 +870,13 @@ TEST_F(EngineDeterminism, RepeatedRunsAreIdentical)
 // disturb the determinism contract either.
 TEST(EngineDeterminismVersioning, ParallelMatchesSerial)
 {
-    ExperimentGrid g;
-    g.benches = {"epicdec"};
-    g.archs = {"interleaved"};
-    g.versioning = {false, true};
-    ExperimentEngine serial{EngineOptions{/*jobs=*/1, true}};
-    ExperimentEngine parallel{EngineOptions{/*jobs=*/8, true}};
-    EXPECT_TRUE(resultsEqual(serial.run(g), parallel.run(g)));
+    SweepRequest req;
+    req.workloads = {"epicdec"};
+    req.archs = {"interleaved"};
+    req.versioning = {false, true};
+    Session serial{SessionOptions{.jobs = 1}};
+    Session parallel{SessionOptions{.jobs = 8}};
+    EXPECT_TRUE(resultsEqual(sweep(serial, req), sweep(parallel, req)));
 }
 
 // ---- report ----
@@ -902,11 +888,11 @@ class ReportTest : public ::testing::Test
     results()
     {
         static const std::vector<ExperimentResult> r = [] {
-            ExperimentGrid g;
-            g.benches = {"gsmdec"};
-            g.archs = {"interleaved", "interleaved-ab"};
-            ExperimentEngine eng{EngineOptions{/*jobs=*/2, true}};
-            return eng.run(g);
+            SweepRequest req;
+            req.workloads = {"gsmdec"};
+            req.archs = {"interleaved", "interleaved-ab"};
+            Session session{SessionOptions{.jobs = 2}};
+            return sweep(session, req);
         }();
         return r;
     }

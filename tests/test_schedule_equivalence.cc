@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "api/registries.hh"
 #include "core/toolchain.hh"
-#include "engine/experiment.hh"
 #include "engine/worker_pool.hh"
 #include "workloads/mediabench.hh"
 
@@ -88,7 +88,8 @@ fullGrid()
 {
     std::vector<GridCell> cells;
     for (const std::string &bench : mediabenchNames()) {
-        for (const std::string &arch : engine::archNames()) {
+        for (const std::string &arch :
+             api::builtinRegistries().archs.names()) {
             for (const char *heur : {"base", "ibc", "ipbc"})
                 cells.push_back({bench, arch, heur});
         }
@@ -101,10 +102,11 @@ std::string
 runCell(const GridCell &cell)
 {
     const BenchmarkSpec bench = makeBenchmark(cell.bench);
-    const engine::ArchSpec arch = engine::makeArch(cell.arch);
+    const api::Registries &reg = api::builtinRegistries();
     ToolchainOptions opts;
-    opts.heuristic = *engine::findHeuristic(cell.heuristic);
-    const Toolchain chain(arch.config, opts);
+    opts.heuristic =
+        reg.schedulers.resolve(cell.heuristic).value().heuristic;
+    const Toolchain chain(reg.archs.resolve(cell.arch).value(), opts);
 
     const CompiledBenchmark compiled = chain.compileBenchmark(bench);
     const BenchmarkRun run = chain.simulateBenchmark(bench, compiled);

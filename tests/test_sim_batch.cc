@@ -20,13 +20,20 @@
 #include <thread>
 #include <vector>
 
+#include "api/registries.hh"
 #include "core/toolchain.hh"
-#include "engine/experiment.hh"
 #include "workloads/dataset.hh"
 #include "workloads/mediabench.hh"
 
 namespace vliw {
 namespace {
+
+/** A built-in architecture's configuration. */
+MachineConfig
+archConfig(const std::string &arch)
+{
+    return api::builtinRegistries().archs.resolve(arch).value();
+}
 
 ::testing::AssertionResult
 statsEqual(const SimStats &a, const SimStats &b)
@@ -114,7 +121,7 @@ TEST(SimBatch, MatchesSequentialRuns)
 
     for (const auto &c : cases) {
         const BenchmarkSpec bench = makeBenchmark(c.bench);
-        const MachineConfig cfg = engine::makeArch(c.arch).config;
+        const MachineConfig cfg = archConfig(c.arch);
         ToolchainOptions opts;
         const Toolchain chain(cfg, opts);
         const CompiledBenchmark compiled =
@@ -145,8 +152,7 @@ TEST(SimBatch, MatchesSequentialRuns)
 TEST(SimBatch, MatchesSequentialRunsWithVersioning)
 {
     const BenchmarkSpec bench = makeBenchmark("g721dec");
-    const MachineConfig cfg =
-        engine::makeArch("interleaved-ab").config;
+    const MachineConfig cfg = archConfig("interleaved-ab");
     ToolchainOptions opts;
     opts.loopVersioning = true;
     const Toolchain chain(cfg, opts);
@@ -183,7 +189,7 @@ TEST(SimBatch, WorkspaceStateCleanAcrossArchitectures)
         "interleaved", "unified1", "multivliw"};
 
     auto run_arch = [&](const std::string &arch) {
-        const MachineConfig cfg = engine::makeArch(arch).config;
+        const MachineConfig cfg = archConfig(arch);
         const Toolchain chain(cfg, ToolchainOptions{});
         return chain.runBenchmark(bench);
     };
@@ -213,7 +219,7 @@ TEST(SimBatch, ResetAllRestoresConstructionState)
     for (const std::string &arch :
          {std::string("interleaved-ab"), std::string("unified5"),
           std::string("multivliw")}) {
-        const MachineConfig cfg = engine::makeArch(arch).config;
+        const MachineConfig cfg = archConfig(arch);
         const Toolchain chain(cfg, ToolchainOptions{});
         const CompiledBenchmark compiled =
             chain.compileBenchmark(bench);

@@ -24,8 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "api/registries.hh"
 #include "core/toolchain.hh"
-#include "engine/experiment.hh"
 #include "engine/worker_pool.hh"
 #include "workloads/mediabench.hh"
 
@@ -71,7 +71,8 @@ fullGrid()
 {
     std::vector<GridCell> cells;
     for (const std::string &bench : mediabenchNames())
-        for (const std::string &arch : engine::archNames())
+        for (const std::string &arch :
+             api::builtinRegistries().archs.names())
             cells.push_back({bench, arch});
     return cells;
 }
@@ -80,8 +81,9 @@ std::string
 runCell(const GridCell &cell)
 {
     const BenchmarkSpec bench = makeBenchmark(cell.bench);
-    const engine::ArchSpec arch = engine::makeArch(cell.arch);
-    const Toolchain chain(arch.config, ToolchainOptions{});
+    const Toolchain chain(
+        api::builtinRegistries().archs.resolve(cell.arch).value(),
+        ToolchainOptions{});
     const BenchmarkRun run = chain.runBenchmark(bench);
 
     std::ostringstream os;

@@ -130,7 +130,11 @@ class PaperShapes : public ::testing::Test
     static std::vector<BenchmarkRun>
     run(const MachineConfig &cfg, const ToolchainOptions &opts)
     {
-        return Toolchain(cfg, opts).runSuite(mediabenchSuite());
+        const Toolchain chain(cfg, opts);
+        std::vector<BenchmarkRun> runs;
+        for (const BenchmarkSpec &bench : mediabenchSuite())
+            runs.push_back(chain.runBenchmark(bench));
+        return runs;
     }
 };
 
