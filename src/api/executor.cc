@@ -3,6 +3,7 @@
 #include "support/metrics.hh"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <unordered_map>
 
@@ -66,18 +67,23 @@ markDeadlineHit(JobCore &core)
 }
 
 /**
- * Fill core.leaders and core.followers. With @p collapse, each set
- * of twin cells (engine::twinCells) gets one leader, its first cell
- * in grid order; specs are grouped by engine::twinHash() so only
- * same-hash cells are compared. Without it every cell leads.
+ * Fill core.leaders and core.followers. With a @p cache, each set of
+ * twin cells (engine::twinCells) gets one leader, its first cell in
+ * grid order; specs are grouped by engine::twinHash() so only
+ * same-hash cells are compared. The leaders are then put in
+ * dispatchOrder(). Without a cache every cell leads, in grid order.
  */
 void
-planCells(JobCore &core, bool collapse)
+planCells(JobCore &core, const engine::CompileCache *cache,
+          int threads)
 {
+    const bool collapse = cache != nullptr;
     const std::size_t n = core.specs.size();
     core.leaders.clear();
     core.followers.assign(n, {});
     std::unordered_map<std::size_t, std::vector<int>> buckets;
+    std::map<std::pair<std::string, std::string>, int> workloads;
+    std::vector<int> workloadOf(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
         const engine::ExperimentSpec &spec = core.specs[i];
         if (collapse) {
@@ -93,8 +99,18 @@ planCells(JobCore &core, bool collapse)
                 continue;
             }
             bucket.push_back(int(i));
+            workloadOf[i] =
+                workloads
+                    .try_emplace({spec.workload->name,
+                                  spec.workload->fingerprint},
+                                 int(workloads.size()))
+                    .first->second;
         }
         core.leaders.push_back(int(i));
+    }
+    if (collapse) {
+        core.leaders = dispatchOrder(core.leaders, workloadOf, threads,
+                                     cache->capacity());
     }
 }
 
@@ -140,6 +156,45 @@ followerResult(JobCore &core, int cell,
 }
 
 } // namespace
+
+std::vector<int>
+dispatchOrder(const std::vector<int> &leaders,
+              const std::vector<int> &workloadOf, int threads,
+              std::size_t cacheCapacity)
+{
+    if (threads <= 1 || cacheCapacity != 0)
+        return leaders;
+
+    // Each workload's leaders, workloads in order of first leader.
+    std::vector<std::vector<int>> queues;
+    std::unordered_map<int, std::size_t> queueOf;
+    for (int cell : leaders) {
+        const auto [it, fresh] = queueOf.try_emplace(
+            workloadOf[std::size_t(cell)], queues.size());
+        if (fresh)
+            queues.emplace_back();
+        queues[it->second].push_back(cell);
+    }
+
+    constexpr std::size_t kIdle = ~std::size_t(0);
+    std::vector<std::size_t> window;
+    std::size_t next = 0;
+    while (next < queues.size() && window.size() < std::size_t(threads))
+        window.push_back(next++);
+    std::vector<std::size_t> taken(queues.size(), 0);
+    std::vector<int> order;
+    order.reserve(leaders.size());
+    while (order.size() < leaders.size()) {
+        for (std::size_t &q : window) {
+            if (q == kIdle)
+                continue;
+            order.push_back(queues[q][taken[q]++]);
+            if (taken[q] == queues[q].size())
+                q = next < queues.size() ? next++ : kIdle;
+        }
+    }
+    return order;
+}
 
 AsyncExecutor::AsyncExecutor(engine::CompileCache *cache, int threads,
                              AdmissionLimits limits)
@@ -306,7 +361,7 @@ AsyncExecutor::submit(std::vector<engine::ExperimentSpec> specs,
     // Admission: enqueue every leader, or just the first window
     // when capped; runCell tops the window up as leaders retire and
     // retires each leader's twins with it.
-    planCells(*core, cache_ != nullptr);
+    planCells(*core, cache_, pool_.threadCount());
     const std::size_t window =
         core->maxInFlight > 0
             ? std::min(std::size_t(core->maxInFlight),

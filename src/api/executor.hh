@@ -24,6 +24,15 @@
  * their own specs, each emitting the usual CellCompiled,
  * CellSimulated (or CellFailed) and Progress events.
  *
+ * Dispatch window: with twin collapse on, an unbounded cache and
+ * more than one worker, leaders enter the pool round-robin over a
+ * window of as many workloads as the pool has threads
+ * (dispatchOrder). Every compile a cell shares — artifacts and
+ * loop fronts — belongs to one workload, so cells running at the
+ * same time rarely wait on each other's compiles. A bounded cache
+ * keeps grid order: interleaving more workloads than it holds
+ * would evict fronts a later cell still needs.
+ *
  * Overload safety: session-wide admission limits
  * (AdmissionLimits, wired from SessionOptions) bound how much work
  * may be queued at once. A submission over the limit is born Done
@@ -62,6 +71,21 @@ struct AdmissionLimits
     /** Max jobs admitted but not yet Done. */
     int maxQueuedJobs = 0;
 };
+
+/**
+ * The order in which a job's @p leaders (cell indices, in grid
+ * order) enter the pool. @p workloadOf maps each cell to its
+ * workload. With @p threads > 1 and an unbounded cache
+ * (@p cacheCapacity 0), the leaders are dealt round-robin over a
+ * sliding window of @p threads workloads: each pass takes the next
+ * leader of every workload in the window, and a workload that runs
+ * out hands its place to the next workload in grid order. Leaders
+ * keep grid order within each workload. Otherwise the order is
+ * @p leaders unchanged.
+ */
+std::vector<int> dispatchOrder(const std::vector<int> &leaders,
+                               const std::vector<int> &workloadOf,
+                               int threads, std::size_t cacheCapacity);
 
 class AsyncExecutor
 {

@@ -36,7 +36,9 @@ memoCounters(const std::string &tier)
     metrics::Registry &reg = metrics::registry();
     return {&reg.counter("wivliw_compile_" + tier + "_hits_total"),
             &reg.counter("wivliw_compile_" + tier + "_misses_total"),
-            &reg.counter("wivliw_compile_" + tier + "_evictions_total")};
+            &reg.counter("wivliw_compile_" + tier + "_evictions_total"),
+            &reg.counter("wivliw_compile_waits_total"),
+            &reg.histogram("wivliw_compile_wait_us")};
 }
 
 const detail::MemoCounters &
@@ -192,6 +194,17 @@ OnceMemo<Value>::get(const std::string &key,
     if (tally)
         tally(!owner);
 
+    if (!owner && future.wait_for(std::chrono::seconds(0)) !=
+                      std::future_status::ready) {
+        // Another requester is still building this key.
+        counters_.waits->add();
+        const auto t0 = std::chrono::steady_clock::now();
+        future.wait();
+        counters_.waitUs->observe(
+            std::chrono::duration<double, std::micro>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+    }
     if (owner) {
         // A failed build (CompileError, CancelledError) must reach
         // every requester blocked on this key, not leave them

@@ -27,9 +27,10 @@
  *
  * Concurrency (both tiers): the first requester of a key builds it;
  * concurrent requesters of the same key block on a shared future
- * instead of duplicating the work, and count as hits. Entries are
- * immutable shared_ptr<const ...>, safe to read from any number of
- * threads at once. A build that throws (CompileError, or
+ * instead of duplicating the work, and count as hits and as waits
+ * (wivliw_compile_waits_total). Entries are immutable
+ * shared_ptr<const ...>, safe to read from any number of threads at
+ * once. A build that throws (CompileError, or
  * CancelledError from the owner's cancellation token) reaches every
  * waiter but is then *removed* from the tier, so the next requester
  * — possibly an uncancelled job — builds fresh instead of replaying
@@ -69,6 +70,7 @@
 
 namespace vliw::metrics {
 class Counter;
+class Histogram;
 }
 
 namespace vliw::engine {
@@ -147,6 +149,10 @@ struct MemoCounters
     metrics::Counter *hits;
     metrics::Counter *misses;
     metrics::Counter *evictions;
+    /** Hits that found the entry still being built, and how long
+     *  they waited for it (shared by both tiers). */
+    metrics::Counter *waits;
+    metrics::Histogram *waitUs;
 };
 
 /**
@@ -168,8 +174,8 @@ class OnceMemo
 
     /**
      * The value under @p key. The first requester runs @p build;
-     * concurrent requesters wait for it. @p tally, when given, sees
-     * every lookup's verdict (true = hit).
+     * concurrent requesters wait for it, and count a wait. @p tally,
+     * when given, sees every lookup's verdict (true = hit).
      */
     Entry get(const std::string &key,
               const std::function<Entry()> &build,

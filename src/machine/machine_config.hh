@@ -8,6 +8,7 @@
 #ifndef WIVLIW_MACHINE_MACHINE_CONFIG_HH
 #define WIVLIW_MACHINE_MACHINE_CONFIG_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 
@@ -121,7 +122,20 @@ struct MachineConfig
     /** N x I: the cluster-mapping period in bytes. */
     int mappingPeriod() const { return numClusters * interleaveBytes; }
     /** Cluster owning byte address @p addr under word interleaving. */
-    int homeCluster(std::uint64_t addr) const;
+    int
+    homeCluster(std::uint64_t addr) const
+    {
+        const auto word = std::uint64_t(interleaveBytes);
+        const auto clusters = std::uint64_t(numClusters);
+        // Power-of-two interleaving and cluster counts (every paper
+        // configuration) turn the division/modulo into shift/mask.
+        // Both fields are >= 1 once validated, so x & (x - 1) is zero
+        // exactly for powers of two (std::has_single_bit may call a
+        // library popcount on this hot path).
+        if ((word & (word - 1)) == 0 && (clusters & (clusters - 1)) == 0)
+            return int((addr >> std::countr_zero(word)) & (clusters - 1));
+        return int((addr / word) % clusters);
+    }
     /// @}
 
     /**

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/logging.hh"
-#include "support/math_util.hh"
 
 namespace vliw {
 
@@ -14,12 +13,6 @@ InterleavedCache::InterleavedCache(const MachineConfig &cfg)
 {
     vliw_assert(cfg.cacheOrg == CacheOrg::Interleaved,
                 "InterleavedCache built from a non-interleaved config");
-    if (isPowerOfTwo(std::uint64_t(cfg.interleaveBytes)) &&
-        isPowerOfTwo(std::uint64_t(cfg.numClusters))) {
-        interleaveShift_ =
-            floorLog2(std::uint64_t(cfg.interleaveBytes));
-        clusterMask_ = std::uint64_t(cfg.numClusters) - 1;
-    }
     if (cfg_.attractionBuffers) {
         abs_.reserve(std::size_t(cfg_.numClusters));
         for (int c = 0; c < cfg_.numClusters; ++c) {
@@ -29,23 +22,13 @@ InterleavedCache::InterleavedCache(const MachineConfig &cfg)
     }
 }
 
-int
-InterleavedCache::homeOf(std::uint64_t addr) const
-{
-    // Power-of-two interleaving and cluster counts (every paper
-    // configuration) turn the division/modulo into shift/mask.
-    if (interleaveShift_ >= 0)
-        return int((addr >> interleaveShift_) & clusterMask_);
-    return cfg_.homeCluster(addr);
-}
-
 bool
 InterleavedCache::isLocal(const MemRequest &req) const
 {
     // Elements wider than the interleaving factor always span
     // several modules and therefore count as remote (Section 5.2).
     return req.size <= cfg_.interleaveBytes &&
-        homeOf(req.addr) == req.cluster;
+        cfg_.homeCluster(req.addr) == req.cluster;
 }
 
 AccessClass
@@ -77,12 +60,13 @@ InterleavedCache::access(const MemRequest &req)
     const Cycles t = req.issueCycle;
 
     const std::uint64_t block = blockOf(req.addr);
-    int home = homeOf(req.addr);
+    int home = cfg_.homeCluster(req.addr);
     const bool local = isLocal(req);
     // Wide elements: direct the remote transaction at the first
     // non-local module the element touches.
     if (!local && home == req.cluster)
-        home = homeOf(req.addr + std::uint64_t(cfg_.interleaveBytes));
+        home = cfg_.homeCluster(
+            req.addr + std::uint64_t(cfg_.interleaveBytes));
 
     const int n = cfg_.numClusters;
     const std::uint64_t sub_key =

@@ -38,9 +38,6 @@ class InterleavedCache : public CacheModel
     /** Access-type classification without touching any state. */
     AccessClass classify(const MemRequest &req) const;
 
-    /** Cluster that owns the word at @p addr. */
-    int homeOf(std::uint64_t addr) const;
-
     /** True if the whole access fits the issuing cluster's module. */
     bool isLocal(const MemRequest &req) const;
 
@@ -58,11 +55,6 @@ class InterleavedCache : public CacheModel
     /** In-flight subblock fetches (pendingFills_ holds the whole-
      *  block next-level fills; both live in flat PendingTables). */
     PendingTable pendingSubblocks_;
-
-    /** log2(interleaveBytes) when a power of two, else -1. */
-    int interleaveShift_ = -1;
-    /** numClusters - 1 when a power of two, else 0. */
-    std::uint64_t clusterMask_ = 0;
 };
 
 } // namespace vliw

@@ -119,7 +119,6 @@ SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
     // ---- Operands per item, in CSR form. ----
     k.opOffsets.resize(num_items + 1);
     k.operands.clear();
-    int max_distance = 0;
     for (std::size_t idx = 0; idx < num_items; ++idx) {
         k.opOffsets[idx] = std::int32_t(k.operands.size());
         const ProtoItem &proto =
@@ -127,7 +126,7 @@ SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
         if (proto.isCopy) {
             // The copy reads the producer's register in its cluster.
             k.operands.push_back(
-                {itemOfNode_[std::size_t(proto.node)], 0, proto.node});
+                {itemOfNode_[std::size_t(proto.node)], 0});
             continue;
         }
         const NodeId v = proto.node;
@@ -153,32 +152,127 @@ SimWorkspace::prepare(const Ddg &ddg, const Schedule &sched,
                 src_item = itemOfCopy_[std::size_t(
                     copy - sched.copies.data())];
             }
-            k.operands.push_back({src_item, e.distance, e.src});
-            max_distance = std::max(max_distance, e.distance);
+            k.operands.push_back({src_item, e.distance});
         }
     }
     k.opOffsets[num_items] = std::int32_t(k.operands.size());
+    k.usedPlans = 0;
+    return handle;
+}
 
-    // ---- Instance rings: right-sized, recycled, gated by stamps. ----
-    // Instance j's slot is next written by instance j + depth, and
-    // its last reader runs at most distance + maxStage instances
-    // after j, so any depth above the bound asserted above keeps a
-    // value until it is read. Storage only grows; stale slots hold
-    // stamps from finished runs, which can never match a future
-    // instance stamp (stampBase_ is monotonic and starts at 1).
-    const int bound = max_distance +
-        std::max(sched.stageCount, k.maxStage + 1) + 2;
-    int depth = 1;
-    while (depth <= bound)
-        depth <<= 1;
-    vliw_assert(depth <= kRing, "instance ring deeper than ", kRing);
-    k.ringMask = depth - 1;
-    const std::size_t slots = num_items * std::size_t(depth);
+const SimWorkspace::Plan &
+SimWorkspace::planFor(Kernel &k, int regBusLatency)
+{
+    for (std::size_t p = 0; p < k.usedPlans; ++p) {
+        if (k.plans[p].regBusLatency == regBusLatency)
+            return k.plans[p];
+    }
+    if (k.usedPlans == k.plans.size())
+        k.plans.emplace_back();
+    Plan &plan = k.plans[k.usedPlans++];
+    plan.regBusLatency = regBusLatency;
+    buildPlan(k, plan);
+
+    // The kernel's plans share its ring. Storage only grows; stale
+    // slots hold stamps from finished runs, which can never match a
+    // future instance stamp (stampBase_ is monotonic and starts at
+    // 1).
+    const std::size_t slots =
+        std::size_t(plan.rows) * std::size_t(plan.ringMask + 1);
     if (k.ring.size() < slots) {
         k.ring.resize(slots);
         k.loadCls.resize(slots);
     }
-    return handle;
+    return plan;
+}
+
+void
+SimWorkspace::buildPlan(const Kernel &k, Plan &plan)
+{
+    const std::size_t num_items = k.items.size();
+    itemCycle_.resize(num_items);
+    for (const Issue &issue : k.waveSeq) {
+        itemCycle_[std::size_t(issue.item)] =
+            issue.stage * k.ii + issue.phase;
+    }
+
+    // ---- Which operands can stall (see "Run plan"). ----
+    opChecked_.assign(k.operands.size(), 0);
+    rowOf_.assign(num_items, -1);
+    for (std::size_t c = 0; c < num_items; ++c) {
+        for (std::int32_t o = k.opOffsets[c]; o < k.opOffsets[c + 1];
+             ++o) {
+            const Operand &op = k.operands[std::size_t(o)];
+            const std::size_t src = std::size_t(op.srcItem);
+            const HotItem &producer = k.items[src];
+            int latency = 0;
+            switch (producer.kind) {
+              case ItemKind::Load:
+                latency = -1;
+                break;
+              case ItemKind::Compute:
+                latency = producer.latOrSize;
+                break;
+              case ItemKind::Store:
+                latency = 1;
+                break;
+              case ItemKind::Copy:
+                latency = plan.regBusLatency;
+                break;
+            }
+            const bool proven = latency >= 0 &&
+                itemCycle_[src] + latency <=
+                    itemCycle_[c] + k.ii * op.distance;
+            if (!proven) {
+                opChecked_[std::size_t(o)] = 1;
+                rowOf_[src] = 0;
+            }
+        }
+    }
+    plan.rows = 0;
+    for (std::int32_t &row : rowOf_) {
+        if (row >= 0)
+            row = plan.rows++;
+    }
+
+    // ---- The pruned wave sequence, operands in sequence order. ----
+    plan.seq.clear();
+    plan.operands.clear();
+    int max_distance = 0;
+    for (const Issue &issue : k.waveSeq) {
+        const std::size_t i = std::size_t(issue.item);
+        const std::int32_t begin = std::int32_t(plan.operands.size());
+        for (std::int32_t o = k.opOffsets[i]; o < k.opOffsets[i + 1];
+             ++o) {
+            if (!opChecked_[std::size_t(o)])
+                continue;
+            const Operand &op = k.operands[std::size_t(o)];
+            plan.operands.push_back(
+                {rowOf_[std::size_t(op.srcItem)], op.srcItem,
+                 op.distance});
+            max_distance = std::max(max_distance, op.distance);
+        }
+        const std::int32_t end = std::int32_t(plan.operands.size());
+        const ItemKind kind = k.items[i].kind;
+        const bool memory =
+            kind == ItemKind::Load || kind == ItemKind::Store;
+        if (begin == end && !memory && rowOf_[i] < 0)
+            continue;
+        plan.seq.push_back({issue.item, issue.stage, issue.phase,
+                            rowOf_[i], begin, end});
+    }
+
+    // Instance j's slot is next written by instance j + depth, and
+    // its last checked reader runs at most distance + maxStage
+    // instances after j, so any depth above this bound keeps a
+    // value until it is read.
+    const int bound = max_distance +
+        std::max(k.sched->stageCount, k.maxStage + 1) + 2;
+    int depth = 1;
+    while (depth <= bound)
+        depth <<= 1;
+    vliw_assert(depth <= kRing, "instance ring deeper than ", kRing);
+    plan.ringMask = depth - 1;
 }
 
 SimRunResult
@@ -195,7 +289,10 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
     const std::int64_t iterations = params.iterations;
     const Cycles start = params.startCycle;
     const int ii = k.ii;
+    // Claim this run's stamps up front, so a run that panics part
+    // way never leaves slots a later run could mistake for its own.
     const std::int64_t base = stampBase_;
+    stampBase_ += iterations;
 
     SimStats stats;
 
@@ -210,19 +307,20 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
         return result;
     }
 
-    // Ring slot of instance j of an item (see Kernel::ring).
-    const std::size_t num_items = k.items.size();
-    const std::int64_t ring_mask = k.ringMask;
-    auto slotOf = [&](int item, std::int64_t j) {
-        return std::size_t(j & ring_mask) * num_items +
-            std::size_t(item);
+    const Plan &plan = planFor(k, cfg.regBusLatency);
+
+    // Ring slot of instance j of a ring row (see Kernel::ring).
+    const std::size_t rows = std::size_t(plan.rows);
+    const std::int64_t ring_mask = plan.ringMask;
+    auto slotOf = [&](std::int32_t row, std::int64_t j) {
+        return std::size_t(j & ring_mask) * rows + std::size_t(row);
     };
 
     // ---- Stall-factor attribution (cold path: stalls only). ----
-    auto attribute = [&](int blocker_item, std::int64_t j,
+    auto attribute = [&](const PlanOperand &op, std::int64_t j,
                          Cycles amount) {
-        const std::size_t slot = slotOf(blocker_item, j);
-        vliw_assert(k.items[std::size_t(blocker_item)].kind ==
+        const std::size_t slot = slotOf(op.srcRow, j);
+        vliw_assert(k.items[std::size_t(op.srcItem)].kind ==
                         ItemKind::Load &&
                     k.ring[slot].stamp == base + j,
                     "stall blocked by a non-load value");
@@ -231,7 +329,7 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
         if (cls != AccessClass::RemoteHit)
             return;
 
-        const NodeId p = k.items[std::size_t(blocker_item)].node;
+        const NodeId p = k.items[std::size_t(op.srcItem)].node;
         const MemAccessInfo &info = ddg.memInfo(p);
         const std::int64_t ni = cfg.mappingPeriod();
         const bool multi = info.indirect || !info.strideKnown() ||
@@ -250,93 +348,94 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
     };
 
     // ---- Main loop: instances in nominal issue order, walking
-    // the precomputed wave sequence (see the header comment). ----
+    // the plan's wave sequence (see the header comment). ----
     const HotItem *items = k.items.data();
-    const Issue *seq = k.waveSeq.data();
-    const std::size_t seq_len = k.waveSeq.size();
-    const std::int32_t *op_offsets = k.opOffsets.data();
-    const Operand *operands = k.operands.data();
+    const PlanIssue *seq = plan.seq.data();
+    const std::size_t seq_len = plan.seq.size();
+    const PlanOperand *operands = plan.operands.data();
     RingSlot *ring = k.ring.data();
     const Cycles reg_bus_lat = cfg.regBusLatency;
     Cycles offset = 0;
 
-    const std::int64_t waves = iterations + k.maxStage;
+    const std::int64_t waves = seq_len ? iterations + k.maxStage : 0;
     for (std::int64_t w = 0; w < waves; ++w) {
         const Cycles wave_base = start + w * ii;
         for (std::size_t s = 0; s < seq_len; ++s) {
-            const Issue issue = seq[s];
+            const PlanIssue &issue = seq[s];
             const std::int64_t iter = w - issue.stage;
             if (iter < 0 || iter >= iterations)
                 continue;   // pipeline fill / drain wave
-            const int pos = issue.item;
-            const HotItem &item = items[pos];
+            const HotItem &item = items[issue.item];
             Cycles t_issue = wave_base + issue.phase + offset;
 
-            // Stall-on-use: wait for every register operand. A
-            // ring slot whose stamp misses is a live-in/unwritten
-            // value, available at cycle 0 exactly like the seed's
-            // zeroed ring.
-            for (std::int32_t o = op_offsets[pos];
-                 o < op_offsets[pos + 1]; ++o) {
-                const Operand &op = operands[std::size_t(o)];
+            // Stall-on-use: wait for every checked operand. A ring
+            // slot whose stamp misses is a live-in/unwritten value,
+            // available at cycle 0 exactly like the seed's zeroed
+            // ring.
+            for (std::int32_t o = issue.opBegin; o < issue.opEnd;
+                 ++o) {
+                const PlanOperand &op = operands[o];
                 const std::int64_t j = iter - op.distance;
                 if (j < 0)
                     continue;   // live-in value
-                const RingSlot &src = ring[slotOf(op.srcItem, j)];
+                const RingSlot &src = ring[slotOf(op.srcRow, j)];
                 const Cycles avail =
                     src.stamp == base + j ? src.ready : 0;
                 if (avail > t_issue) {
                     const Cycles amount = avail - t_issue;
                     offset += amount;
                     stats.stallCycles += amount;
-                    attribute(op.srcItem, j, amount);
+                    attribute(op, j, amount);
                     t_issue = avail;
                 }
             }
 
-            const std::size_t at = slotOf(pos, iter);
-            RingSlot &slot = ring[at];
-            slot.stamp = base + iter;
-
+            Cycles ready = 0;
+            AccessClass cls = AccessClass::LocalHit;
             switch (item.kind) {
               case ItemKind::Copy:
-                stats.dynamicCopies += 1;
-                slot.ready = t_issue + reg_bus_lat;
-                continue;
-              case ItemKind::Compute:
-                stats.dynamicOps += 1;
-                slot.ready = t_issue + item.latOrSize;
-                continue;
-              case ItemKind::Load:
-              case ItemKind::Store:
+                ready = t_issue + reg_bus_lat;
                 break;
+              case ItemKind::Compute:
+                ready = t_issue + item.latOrSize;
+                break;
+              case ItemKind::Load:
+              case ItemKind::Store: {
+                MemRequest req;
+                req.cluster = item.cluster;
+                req.addr = addr(item.node, iter);
+                req.size = item.latOrSize;
+                req.isStore = item.memStore != 0;
+                req.issueCycle = t_issue;
+                req.attractable = item.memAttract != 0;
+                const MemAccessResult res = mem.access(req);
+
+                stats.memAccesses += 1;
+                stats.accessesByClass[std::size_t(res.cls)] += 1;
+                if (res.abHit)
+                    stats.abHits += 1;
+                cls = res.cls;
+                ready = item.kind == ItemKind::Load ? res.readyCycle
+                                                    : t_issue + 1;
+                break;
+              }
             }
 
-            stats.dynamicOps += 1;
-            MemRequest req;
-            req.cluster = item.cluster;
-            req.addr = addr(item.node, iter);
-            req.size = item.latOrSize;
-            req.isStore = item.memStore != 0;
-            req.issueCycle = t_issue;
-            req.attractable = item.memAttract != 0;
-            const MemAccessResult res = mem.access(req);
-
-            stats.memAccesses += 1;
-            stats.accessesByClass[std::size_t(res.cls)] += 1;
-            if (res.abHit)
-                stats.abHits += 1;
-
-            if (item.kind == ItemKind::Load) {
-                slot.ready = res.readyCycle;
-                k.loadCls[at] = std::uint8_t(res.cls);
-            } else {
-                slot.ready = t_issue + 1;
-            }
+            if (issue.row < 0)
+                continue;
+            const std::size_t at = slotOf(issue.row, iter);
+            ring[at].ready = ready;
+            ring[at].stamp = base + iter;
+            if (item.kind == ItemKind::Load)
+                k.loadCls[at] = std::uint8_t(cls);
         }
     }
 
-    stampBase_ += iterations;
+    // Every item issues once per iteration, pruned or not.
+    const Counter copies = Counter(sched.copies.size());
+    stats.dynamicOps =
+        (Counter(k.items.size()) - copies) * Counter(iterations);
+    stats.dynamicCopies = copies * Counter(iterations);
 
     result.stats = stats;
     result.stats.totalCycles = (iterations - 1) * ii + k.length +

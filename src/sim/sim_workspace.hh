@@ -10,14 +10,36 @@
  *  - prepare(): decode one (Ddg, Schedule, LatencyMap) into a flat
  *    SimKernel -- the issue-item list sorted by kernel cycle, the
  *    per-item operand list in CSR form, per-item kind/latency/access
- *    attributes, the periodic issue order (below), and the instance
- *    rings, sized to the kernel's own operand distances and stage
- *    count. Built once per compiled loop, reused across every
- *    invocation and every data set.
+ *    attributes and the periodic issue order (below). Built once
+ *    per compiled loop, reused across every invocation and every
+ *    data set.
  *
  *  - run(): execute a prepared kernel against a memory system. The
  *    hot loop touches only flat arrays; once the workspace is warm
  *    it performs no heap allocation at all.
+ *
+ * Run plan. Only loads carry an unknown delay; compute ops, stores
+ * and register copies have fixed latencies. The first run() of a
+ * kernel at a given register-bus latency builds a plan, kept for
+ * every later run at that latency. Write an item's nominal ready
+ * cycle as its kernel cycle plus its latency: the assigned latency
+ * of a compute op, 1 for a store, and cfg.regBusLatency for a copy,
+ * which issues at its bus start. The plan drops an operand when its
+ * producer is not a load and the producer's nominal ready cycle is
+ * at most the consumer's kernel cycle + II * distance. Such an
+ * operand can never stall. Stalls only add to an offset that every
+ * later issue carries and that never decreases, so a producer that
+ * has issued did so with an offset no larger than the consumer's,
+ * and its actual ready cycle is at most the consumer's actual issue
+ * cycle. A producer that has not issued yet reads as ready at cycle
+ * 0, which cannot stall either. The plan then drops every item
+ * that has no checked operand, no memory access and no checked
+ * reader, and gives a ring row only to items a checked operand
+ * reads. run() counts dynamicOps and dynamicCopies as items x
+ * iterations, since every item issues once per iteration.
+ * Results are bit-identical to checking every operand; an operand
+ * that fails the proof stays checked, so an illegal schedule still
+ * trips the "stall blocked by a non-load value" assertion.
  *
  * Issue order is not discovered with a priority queue the way the
  * seed simulator did it: a modulo schedule issues instances in a
@@ -30,7 +52,9 @@
  * walks it, skipping the few out-of-range instances in the fill and
  * drain waves.
  *
- * Instance rings are recycled, not re-zeroed: every ring slot
+ * Instance rings hold one row per item that a checked operand
+ * reads, sized to the plan's own checked distances and the stage
+ * count. They are recycled, not re-zeroed: every ring slot
  * carries a stamp (a monotonically increasing per-instance id), and
  * a read whose stamp does not match behaves exactly like the seed
  * simulator's freshly zeroed slot. This keeps per-run cost
@@ -149,8 +173,6 @@ class SimWorkspace
     {
         int srcItem = -1;
         int distance = 0;
-        /** The underlying producer node (for stall attribution). */
-        NodeId producer = kNoNode;
     };
 
     /** One entry of the periodic issue sequence. */
@@ -166,6 +188,42 @@ class SimWorkspace
     {
         Cycles ready = 0;
         std::int64_t stamp = 0;
+    };
+
+    /** One entry of a plan's wave sequence. */
+    struct PlanIssue
+    {
+        std::int32_t item = 0;   ///< sorted-item index
+        std::int32_t stage = 0;
+        std::int32_t phase = 0;
+        /** Ring row the item writes; -1 when nothing checks it. */
+        std::int32_t row = -1;
+        /** Checked operands: [opBegin, opEnd) of Plan::operands. */
+        std::int32_t opBegin = 0;
+        std::int32_t opEnd = 0;
+    };
+
+    /** An operand the plan could not prove stall-free. */
+    struct PlanOperand
+    {
+        std::int32_t srcRow = 0;
+        std::int32_t srcItem = 0;  ///< for stall attribution
+        std::int32_t distance = 0;
+    };
+
+    /** What run() executes for one kernel at one bus latency (see
+     *  "Run plan" in the file comment). */
+    struct Plan
+    {
+        int regBusLatency = 0;
+        /** The wave sequence minus the items with nothing to do. */
+        std::vector<PlanIssue> seq;
+        /** Checked operands, laid out in seq order. */
+        std::vector<PlanOperand> operands;
+        /** Ring rows (items a checked operand reads). */
+        int rows = 0;
+        /** Ring depth - 1; the depth is a power of two. */
+        int ringMask = 0;
     };
 
     /** A decoded loop: flat arrays only, reused across prepares. */
@@ -185,19 +243,26 @@ class SimWorkspace
         std::vector<std::int32_t> opOffsets;
         std::vector<Operand> operands;
 
-        /** Ring depth - 1; the depth is a power of two. */
-        int ringMask = 0;
+        /** Plans built so far, one per bus latency; the first
+         *  usedPlans are live. Grow-only across prepares. */
+        std::vector<Plan> plans;
+        std::size_t usedPlans = 0;
+
         /** Instance rings, iteration-major:
-         *  slot = (j & ringMask) * items.size() + item. A slot is
+         *  slot = (j & plan.ringMask) * plan.rows + row. A slot is
          *  live only when its stamp matches the reader's instance
          *  stamp; anything else reads as the seed simulator's
-         *  zero-initialised slot. Grow-only across prepares. */
+         *  zero-initialised slot. Shared by the kernel's plans and
+         *  grow-only across prepares. */
         std::vector<RingSlot> ring;
         /** Access class of a load instance (valid iff stamp hits). */
         std::vector<std::uint8_t> loadCls;
     };
 
     Kernel &kernelStorage();
+    /** @p k's plan at @p regBusLatency, built on first use. */
+    const Plan &planFor(Kernel &k, int regBusLatency);
+    void buildPlan(const Kernel &k, Plan &plan);
 
     // ---- prepare() scratch (reused, never shrunk) ----
     struct ProtoItem
@@ -211,6 +276,11 @@ class SimWorkspace
     std::vector<int> itemOfNode_;
     std::vector<int> itemOfCopy_;
     std::vector<std::int32_t> sortPerm_;
+
+    // ---- buildPlan() scratch (reused, never shrunk) ----
+    std::vector<int> itemCycle_;
+    std::vector<std::uint8_t> opChecked_;
+    std::vector<std::int32_t> rowOf_;
 
     /** Kernel pool: unique_ptr keeps handles stable across growth. */
     std::vector<std::unique_ptr<Kernel>> kernels_;
