@@ -1,11 +1,13 @@
 # Run one paper harness and compare its stdout with its checked-in
 # golden byte for byte:
 #   cmake -DHARNESS=<binary> -DGOLDEN=<golden.txt> -DACTUAL=<out.txt> \
+#         [-DARGS="<space-separated arguments>"] \
 #         -P tests/harness_golden.cmake
 # With WIVLIW_REGEN_GOLDEN=1 in the environment the golden is
 # rewritten from the fresh output instead (an intended change only).
 
-execute_process(COMMAND "${HARNESS}"
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND "${HARNESS}" ${args}
                 OUTPUT_FILE "${ACTUAL}"
                 RESULT_VARIABLE status)
 if(NOT status EQUAL 0)

@@ -7,11 +7,18 @@
  * session's workload registry untouched. The round-trip half pins
  * the writer: every builtin spec dumped, re-ingested into a
  * builtin-free session and dumped again must be byte-identical, and
- * the ingested copy must simulate to the same cycle count.
+ * the ingested copy must simulate to the same cycle count. The
+ * golden half pins the exact bytes of every canonical dump, every
+ * fingerprint (the compile store's keys) and every rendered
+ * diagnostic in tests/golden/wvl_ingest.txt; regenerate it
+ * deliberately with WIVLIW_REGEN_GOLDEN=1 ./test_lang.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -394,6 +401,148 @@ TEST(WvlRoundTrip, FingerprintTracksContent)
     EXPECT_EQ(a[0].fingerprint.size(), 16u);
     EXPECT_EQ(a[0].fingerprint, b[0].fingerprint);
     EXPECT_NE(a[0].fingerprint, c[0].fingerprint);
+}
+
+// ---- golden: dump bytes, fingerprints and diagnostics pinned ---------
+
+#ifndef WIVLIW_GOLDEN_DIR
+#define WIVLIW_GOLDEN_DIR "tests/golden"
+#endif
+#ifndef WIVLIW_KERNELS_DIR
+#define WIVLIW_KERNELS_DIR "examples/kernels"
+#endif
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+/** Every spec of @p source: a header with its fingerprint, then its
+ *  canonical dump. */
+void
+renderSpecs(std::ostream &os, const std::string &origin,
+            const std::string &source)
+{
+    std::vector<BenchmarkSpec> specs;
+    if (auto diag = vliw::lang::compileWvl(source, specs)) {
+        os << "== " << origin << " rejected: "
+           << vliw::lang::renderDiag(*diag, source, origin) << '\n';
+        return;
+    }
+    for (const BenchmarkSpec &spec : specs) {
+        os << "== " << origin << ' ' << spec.name
+           << " fingerprint=" << spec.fingerprint
+           << " recomputed=" << vliw::lang::wvlFingerprint(spec)
+           << '\n'
+           << vliw::lang::dumpWorkloadText(spec);
+    }
+}
+
+/** Malformed sources, one per diagnostic site worth pinning. */
+const std::vector<std::string> &
+malformedSources()
+{
+    static const std::vector<std::string> sources{
+        kernel("    x = load buf @gran 4 stride 4\n"),
+        kernel("    x = lod buf gran 4 stride 4\n"),
+        kernel("    x = load buff stride 4\n"),
+        kernel("    x = load buf stride 4\n"
+               "    y = intalu from xx\n"),
+        kernel("    x = load buf stride 4\n"
+               "    dep x -> x kind flwo dist 1\n"),
+        kernel("    a = intalu\n"
+               "    b = intalu from a\n"
+               "    dep b -> a kind anti\n"),
+        kernel("    a = intalu name \"oops\n"),
+        kernel("    a = intalu name \"bad \\q escape\"\n"),
+        kernel("    a = intalu \"quoted \\\" word\"\n"),
+        kernel("    a = intalu bogus 3\n"),
+        kernel("    a = intalu latency 99999999999999999999\n"),
+        kernel("    x = load buf gran 3 stride 4\n"),
+        "benchmark b {\n  loop l trip 16 {\n    x = load src "
+        "stride 4\n  }\n}\n",
+        "benchmark b {\n  maindata share 1.5\n  loop l trip 16 {\n"
+        "    a = intalu\n  }\n}\n",
+        "benchmark b {\n\tloop l trip 24 {\n\t\ta = intalu\n\t}\n}\n",
+        "benchmark b {\n  loop l trip 16 {\n    a = intalu\n",
+        "benchmark b { loop",
+        "# nothing but a comment\n",
+        std::string("benchmark b {\n  \x01\n}\n"),
+    };
+    return sources;
+}
+
+std::string
+renderIngestGolden()
+{
+    std::ostringstream os;
+    for (const char *name : {"dotprod", "fir", "stencil"}) {
+        const std::string path =
+            std::string(WIVLIW_KERNELS_DIR) + "/" + name + ".wvl";
+        renderSpecs(os, std::string("examples/kernels/") + name +
+                            ".wvl",
+                    readFile(path));
+    }
+    // The builtins exactly as --export-benches writes them.
+    Session builtins;
+    std::string exported;
+    for (const std::string &name :
+         builtins.registries().workloads.names()) {
+        auto dump = builtins.dumpWorkloadText(name);
+        if (dump.ok())
+            exported += dump.value();
+    }
+    renderSpecs(os, "export-benches", exported);
+    // A display name that needs quoting and escaping round-trips.
+    renderSpecs(os, "escaped-name",
+                kernel("    a = intalu name \"say \\\"hi\\\" \\\\ "
+                       "bye\"\n"
+                       "    b = intalu name \"a->b\" from a\n"));
+    int index = 0;
+    for (const std::string &source : malformedSources()) {
+        std::vector<BenchmarkSpec> specs;
+        const std::string origin =
+            "malformed" + std::to_string(++index) + ".wvl";
+        auto diag = vliw::lang::compileWvl(source, specs);
+        os << "== " << origin << '\n'
+           << (diag ? vliw::lang::renderDiag(*diag, source, origin)
+                    : std::string("accepted"))
+           << '\n';
+    }
+    return os.str();
+}
+
+TEST(WvlGolden, DumpsFingerprintsAndDiagnosticsMatchGolden)
+{
+    const std::string path =
+        std::string(WIVLIW_GOLDEN_DIR) + "/wvl_ingest.txt";
+    const std::string actual = renderIngestGolden();
+    if (std::getenv("WIVLIW_REGEN_GOLDEN")) {
+        std::ofstream out(path, std::ios::binary);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        out << actual;
+        GTEST_SKIP() << "golden file regenerated at " << path;
+    }
+    const std::string golden = readFile(path);
+    ASSERT_FALSE(golden.empty())
+        << "missing golden file " << path
+        << "; regenerate with WIVLIW_REGEN_GOLDEN=1";
+    std::istringstream want_lines(golden);
+    std::istringstream got_lines(actual);
+    std::string want, got;
+    int line = 0;
+    while (std::getline(want_lines, want)) {
+        ++line;
+        ASSERT_TRUE(std::getline(got_lines, got))
+            << "output truncated at golden line " << line;
+        ASSERT_EQ(got, want) << "first divergence at line " << line;
+    }
+    EXPECT_FALSE(std::getline(got_lines, got))
+        << "extra output after golden ended: " << got;
 }
 
 } // namespace

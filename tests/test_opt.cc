@@ -4,23 +4,35 @@
  * budget-key grammar, the optimality properties of proven outcomes
  * against every heuristic, certificate legality under the shared
  * schedule validator, deterministic budget exhaustion across worker
- * counts, cooperative cancellation, and the optimality-gap report.
+ * counts, cooperative cancellation, the optimality-gap report, and
+ * a golden that pins every search counter and certificate of the
+ * solver on random loops (regenerate deliberately with
+ * WIVLIW_REGEN_GOLDEN=1 ./test_opt).
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "api/api.hh"
 #include "core/toolchain.hh"
 #include "ddg/chains.hh"
+#include "ddg/circuits.hh"
+#include "ddg/mii.hh"
 #include "engine/report.hh"
 #include "opt/budget.hh"
 #include "opt/gap_report.hh"
 #include "opt/solver.hh"
+#include "sched/latency_assign.hh"
 #include "sched/schedule.hh"
 #include "support/errors.hh"
+#include "util_random_ddg.hh"
 
 namespace vliw {
 namespace {
@@ -332,6 +344,148 @@ TEST(GapReport, CsvAndJsonCarryTheGapColumns)
               std::string::npos);
     EXPECT_NE(json.str().find("\"gate\": true"),
               std::string::npos);
+}
+
+// ---- search equivalence: every counter and certificate pinned ----
+
+#ifndef WIVLIW_GOLDEN_DIR
+#define WIVLIW_GOLDEN_DIR "tests/golden"
+#endif
+
+/** FNV-1a over every field that defines a schedule bit for bit. */
+std::uint64_t
+digestSchedule(const Schedule &s)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    auto add = [&](std::int64_t v) {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash ^= std::uint64_t(v >> (byte * 8)) & 0xffu;
+            hash *= 0x100000001b3ull;
+        }
+    };
+    add(s.ii);
+    add(s.length);
+    add(s.stageCount);
+    for (const PlacedOp &op : s.ops) {
+        add(op.cycle);
+        add(op.cluster);
+    }
+    for (const CopyOp &c : s.copies) {
+        add(c.producer);
+        add(c.fromCluster);
+        add(c.toCluster);
+        add(c.busStart);
+        add(c.readyCycle);
+    }
+    return hash;
+}
+
+LatencyScheme
+schemeFor(const MachineConfig &cfg)
+{
+    switch (cfg.cacheOrg) {
+      case CacheOrg::Interleaved:
+        return LatencyScheme::fourClass(cfg);
+      case CacheOrg::Unified:
+        return LatencyScheme::twoClassUnified(cfg);
+      case CacheOrg::MultiVliw:
+        return LatencyScheme::twoClassCoherent(cfg);
+    }
+    throw std::logic_error("unknown cache organisation");
+}
+
+/**
+ * One golden line per (random loop, arch, node budget): the solver's
+ * status, II, lower bound, search counters and a digest of the
+ * schedule it returns. The search visits nodes in a fixed order, so
+ * a change that only makes a node cheaper leaves every line as is.
+ */
+std::string
+renderSolverRuns()
+{
+    const api::Registries &reg = api::builtinRegistries();
+    std::ostringstream os;
+    for (const char *arch : {"interleaved", "unified1", "multivliw"}) {
+        const MachineConfig cfg = reg.archs.resolve(arch).value();
+        for (int seed = 1; seed <= 50; ++seed) {
+            testutil::RandomDdgOptions ropts;
+            ropts.minNodes = 10;
+            ropts.maxNodes = 40;
+            const testutil::RandomLoop loop = testutil::makeRandomLoop(
+                std::uint64_t(seed), cfg.numClusters, ropts);
+            const auto circuits = findCircuits(loop.ddg);
+            const LatencyAssignment lat = assignLatencies(
+                loop.ddg, circuits, loop.profile, schemeFor(cfg), cfg);
+            const int mii = std::max(
+                lat.miiTarget,
+                computeMii(loop.ddg, circuits, lat.latencies, cfg));
+            SchedulerOptions sopts;
+            sopts.heuristic = Heuristic::Base;
+            sopts.useChains = cfg.cacheOrg != CacheOrg::Unified;
+            sopts.maxIiTries = 128;
+            const auto seedSched =
+                scheduleLoop(loop.ddg, circuits, lat.latencies,
+                             loop.profile, cfg, mii, sopts);
+            if (!seedSched) {
+                os << arch << " seed=" << seed << " unschedulable\n";
+                continue;
+            }
+            for (const std::uint64_t nodes : {2000u, 20000u}) {
+                opt::SolverBudget budget;
+                budget.maxNodes = nodes;
+                const opt::SolveOutcome out = opt::solveLoop(
+                    loop.ddg, lat.latencies, cfg, sopts, budget,
+                    seedSched->schedule, mii);
+                char digest[17];
+                std::snprintf(digest, sizeof(digest), "%016llx",
+                              static_cast<unsigned long long>(
+                                  digestSchedule(out.schedule)));
+                os << arch << " seed=" << seed
+                   << " n=" << loop.ddg.numNodes() << " budget=n"
+                   << nodes << " mii=" << mii
+                   << " seed_ii=" << seedSched->schedule.ii << ' '
+                   << opt::solveStatusName(out.status)
+                   << " ii=" << out.schedule.ii
+                   << " lb=" << out.lowerBound
+                   << " nodes=" << out.stats.nodes
+                   << " prunes=" << out.stats.prunes
+                   << " refuted=" << out.stats.iisRefuted
+                   << " copies=" << out.schedule.numCopies()
+                   << " sched=" << digest << '\n';
+            }
+        }
+    }
+    return os.str();
+}
+
+TEST(SolverEquivalence, RandomLoopsMatchGolden)
+{
+    const std::string path =
+        std::string(WIVLIW_GOLDEN_DIR) + "/solver_equivalence.txt";
+    const std::string actual = renderSolverRuns();
+    if (std::getenv("WIVLIW_REGEN_GOLDEN")) {
+        std::ofstream out(path);
+        ASSERT_TRUE(out.good()) << "cannot write " << path;
+        out << actual;
+        GTEST_SKIP() << "golden file regenerated at " << path;
+    }
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good()) << "missing golden file " << path
+                           << "; regenerate with WIVLIW_REGEN_GOLDEN=1";
+    std::stringstream golden;
+    golden << in.rdbuf();
+    std::istringstream want_lines(golden.str());
+    std::istringstream got_lines(actual);
+    std::string want, got;
+    int line = 0;
+    while (std::getline(want_lines, want)) {
+        ++line;
+        ASSERT_TRUE(std::getline(got_lines, got))
+            << "output truncated at golden line " << line;
+        ASSERT_EQ(got, want) << "first divergence at line " << line;
+    }
+    EXPECT_FALSE(std::getline(got_lines, got))
+        << "extra output after golden ended: " << got;
 }
 
 } // namespace
