@@ -24,6 +24,8 @@ constexpr int kNeg = std::numeric_limits<int>::min() / 4;
 constexpr int kSlackStages = 4;
 /** Budget ticks between cancel / wall-clock probes. */
 constexpr std::uint64_t kProbeMask = 1023;
+/** MinDist rows are padded to whole blocks of this many lanes. */
+constexpr std::size_t kLanes = 8;
 
 struct SolverMetrics
 {
@@ -64,6 +66,14 @@ struct PendingCopy
     int need;
 };
 
+/** A register-flow arc with its producer's latency resolved. */
+struct RegArc
+{
+    NodeId other;
+    int distance;
+    int producerLatency;
+};
+
 /**
  * One complete search, reusable across II levels. All scratch is
  * owned here: cancellation unwinds through plain locals and leaves
@@ -94,9 +104,13 @@ class ExactSearch
         fuKind_.resize(std::size_t(n_));
         for (NodeId v = 0; v < n_; ++v)
             fuKind_[std::size_t(v)] = fuForOp(ddg.node(v).kind);
-        dist_.assign(std::size_t(n_) * std::size_t(n_), kNeg);
+        buildRegArcs();
+        stride_ = (std::size_t(n_) + kLanes - 1) / kLanes * kLanes;
+        dist_.assign(std::size_t(n_) * stride_, kNeg);
+        fwdAt_.assign(std::size_t(n_) * stride_, kNeg);
+        backAt_.assign(std::size_t(n_) * stride_, kNeg);
+        cycleAt_.assign(stride_, 0);
         cycle_.assign(std::size_t(n_), 0);
-        placed_.assign(std::size_t(n_), 0);
         cluster_.assign(std::size_t(n_), -1);
         copyStart_.assign(std::size_t(n_) * std::size_t(numClusters_),
                           INT_MIN);
@@ -144,9 +158,9 @@ class ExactSearch
                               frames_.asap[std::size_t(b)];
                       return a < b;
                   });
+        layoutDepthRows();
 
         mrt_.reset(cfg_, ii_);
-        std::fill(placed_.begin(), placed_.end(), std::uint8_t(0));
         std::fill(cluster_.begin(), cluster_.end(), -1);
         std::fill(copyStart_.begin(), copyStart_.end(), INT_MIN);
         std::fill(chainCluster_.begin(), chainCluster_.end(), -1);
@@ -176,37 +190,115 @@ class ExactSearch
     buildMinDist()
     {
         const std::size_t n = std::size_t(n_);
+        const std::size_t stride = stride_;
         std::fill(dist_.begin(), dist_.end(), kNeg);
         for (std::size_t v = 0; v < n; ++v)
-            dist_[v * n + v] = 0;
+            dist_[v * stride + v] = 0;
         for (NodeId v = 0; v < n_; ++v) {
             const auto first = graph_.outOff[std::size_t(v)];
             const auto last = graph_.outOff[std::size_t(v) + 1];
             for (auto i = first; i < last; ++i) {
                 const SchedGraph::Arc &a = graph_.out[std::size_t(i)];
                 const int w = a.latency - ii_ * a.distance;
-                int &slot =
-                    dist_[std::size_t(v) * n + std::size_t(a.other)];
+                int &slot = dist_[std::size_t(v) * stride +
+                                  std::size_t(a.other)];
                 slot = std::max(slot, w);
             }
         }
-        for (std::size_t k = 0; k < n; ++k)
+        // Floyd-Warshall. The padding lanes hold kNeg and stay kNeg,
+        // so every row is a whole number of fixed-width blocks and
+        // the select below vectorizes at the default optimization
+        // level.
+        for (std::size_t k = 0; k < n; ++k) {
+            const int *rowK = &dist_[k * stride];
             for (std::size_t i = 0; i < n; ++i) {
-                const int ik = dist_[i * n + k];
+                const int ik = dist_[i * stride + k];
                 if (ik <= kNeg)
                     continue;
-                const int *rowK = &dist_[k * n];
-                int *rowI = &dist_[i * n];
-                for (std::size_t j = 0; j < n; ++j) {
-                    if (rowK[j] <= kNeg)
-                        continue;
-                    rowI[j] = std::max(rowI[j], ik + rowK[j]);
+                int *rowI = &dist_[i * stride];
+                if (i == k) {
+                    // rowI aliases rowK: stay scalar.
+                    for (std::size_t j = 0; j < n; ++j) {
+                        if (rowK[j] <= kNeg)
+                            continue;
+                        rowI[j] = std::max(rowI[j], ik + rowK[j]);
+                    }
+                    continue;
                 }
+                for (std::size_t j = 0; j < stride; j += kLanes)
+                    relaxBlock(rowI + j, rowK + j, ik);
             }
+        }
         for (std::size_t v = 0; v < n; ++v)
-            if (dist_[v * n + v] > 0)
+            if (dist_[v * stride + v] > 0)
                 return false;
         return true;
+    }
+
+    /** rowI[l] = max(rowI[l], ik + rowK[l]) where rowK[l] is a path. */
+    static void
+    relaxBlock(int *rowI, const int *rowK, int ik)
+    {
+        int next[kLanes];
+        for (std::size_t l = 0; l < kLanes; ++l) {
+            const int kj = rowK[l];
+            const int cand = kj > kNeg ? ik + kj : kNeg;
+            next[l] = std::max(rowI[l], cand);
+        }
+        for (std::size_t l = 0; l < kLanes; ++l)
+            rowI[l] = next[l];
+    }
+
+    /**
+     * Copy the MinDist entries each depth of order_ reads into
+     * contiguous rows: fwdAt_[d * stride_ + j] is the distance from
+     * the node at depth j to the node at depth d, backAt_ the
+     * reverse, for every j < d. Entries j >= d stay kNeg.
+     */
+    void
+    layoutDepthRows()
+    {
+        const std::size_t n = std::size_t(n_);
+        for (std::size_t d = 0; d < n; ++d) {
+            const std::size_t v = std::size_t(order_[d]);
+            int *fwd = &fwdAt_[d * stride_];
+            int *back = &backAt_[d * stride_];
+            for (std::size_t j = 0; j < d; ++j) {
+                const std::size_t u = std::size_t(order_[j]);
+                fwd[j] = dist_[u * stride_ + v];
+                back[j] = dist_[v * stride_ + u];
+            }
+        }
+    }
+
+    /**
+     * Register-flow arcs per node, in SchedGraph order: in-arcs
+     * carry their producer's latency, out-arcs the node's own.
+     */
+    void
+    buildRegArcs()
+    {
+        const std::size_t n = std::size_t(n_);
+        regInOff_.assign(n + 1, 0);
+        regOutOff_.assign(n + 1, 0);
+        for (NodeId v = 0; v < n_; ++v) {
+            for (auto i = graph_.inOff[std::size_t(v)];
+                 i < graph_.inOff[std::size_t(v) + 1]; ++i) {
+                const SchedGraph::Arc &a = graph_.in[std::size_t(i)];
+                if (a.regFlow)
+                    regIn_.push_back(
+                        RegArc{a.other, a.distance, lat_(a.other)});
+            }
+            regInOff_[std::size_t(v) + 1] = int(regIn_.size());
+            for (auto i = graph_.outOff[std::size_t(v)];
+                 i < graph_.outOff[std::size_t(v) + 1]; ++i) {
+                const SchedGraph::Arc &a = graph_.out[std::size_t(i)];
+                if (a.regFlow)
+                    regOut_.push_back(
+                        RegArc{a.other, a.distance, lat_(v)});
+            }
+            regOutOff_[std::size_t(v) + 1] = int(regOut_.size());
+        }
     }
 
     /** Count one search node; false when the budget is spent. */
@@ -241,20 +333,28 @@ class ExactSearch
             return acceptLeaf();
 
         const NodeId v = order_[std::size_t(idx)];
-        const std::size_t n = std::size_t(n_);
 
         // Dependence window against every placed node, via MinDist.
-        int lb = kNeg;
-        int ub = -kNeg;
-        for (int j = 0; j < idx; ++j) {
-            const std::size_t u = std::size_t(order_[std::size_t(j)]);
-            const int fwd = dist_[u * n + std::size_t(v)];
-            if (fwd > kNeg)
-                lb = std::max(lb, cycle_[u] + fwd);
-            const int back = dist_[std::size_t(v) * n + u];
-            if (back > kNeg)
-                ub = std::min(ub, cycle_[u] - back);
+        // Entries at and past this depth hold kNeg, so whole blocks
+        // of lanes can be folded without a tail.
+        int lbs[kLanes];
+        int ubs[kLanes];
+        std::fill(lbs, lbs + kLanes, kNeg);
+        std::fill(ubs, ubs + kLanes, -kNeg);
+        const int *fwd = &fwdAt_[std::size_t(idx) * stride_];
+        const int *back = &backAt_[std::size_t(idx) * stride_];
+        const int *cycles = cycleAt_.data();
+        for (std::size_t j = 0; j < std::size_t(idx); j += kLanes) {
+            for (std::size_t l = 0; l < kLanes; ++l) {
+                const int c = cycles[j + l];
+                const int f = fwd[j + l];
+                const int b = back[j + l];
+                lbs[l] = std::max(lbs[l], f > kNeg ? c + f : kNeg);
+                ubs[l] = std::min(ubs[l], b > kNeg ? c - b : -kNeg);
+            }
         }
+        int lb = *std::max_element(lbs, lbs + kLanes);
+        int ub = *std::min_element(ubs, ubs + kLanes);
         // The stage horizon tethers components the MinDist matrix
         // does not connect, and bounds the schedule span overall.
         if (idx == 0) {
@@ -272,6 +372,7 @@ class ExactSearch
         const int pinned =
             chain >= 0 ? chainCluster_[std::size_t(chain)] : -1;
 
+        int row = mrt_.row(lb);
         for (int t = lb; t <= ub; ++t) {
             // Identical clusters are interchangeable: opening a new
             // one is only tried once per depth (symmetry breaking).
@@ -282,38 +383,44 @@ class ExactSearch
             for (int c = firstCluster; c <= lastCluster; ++c) {
                 if (!tick())
                     return false;
-                if (tryPlace(idx, v, t, c, chain))
+                if (tryPlace(idx, v, t, row, c, chain))
                     return true;
                 if (exhausted_)
                     return false;
             }
+            if (++row == ii_)
+                row = 0;
         }
         return false;
     }
 
     /**
-     * Attempt (cycle @p t, cluster @p c) for @p v: FU slot, copy
-     * requirements against placed neighbours, then the rest of the
-     * tree. Undone completely on failure.
+     * Attempt (cycle @p t, cluster @p c) for @p v, where @p row is
+     * t's modulo row: FU slot, copy requirements against placed
+     * neighbours, then the rest of the tree. Undone completely on
+     * failure.
      */
     bool
-    tryPlace(int idx, NodeId v, int t, int c, int chain)
+    tryPlace(int idx, NodeId v, int t, int row, int c, int chain)
     {
-        if (!mrt_.fuFree(c, fuKind_[std::size_t(v)], t)) {
+        const FuKind kind = fuKind_[std::size_t(v)];
+        if (!mrt_.fuFreeAtRow(c, kind, row)) {
             ++prunes_;
             return false;
         }
 
         // Gather the transfers this placement requires; reject when
-        // an already-committed copy arrives too late.
+        // an already-committed copy arrives too late. Unplaced
+        // neighbours have cluster -1 and never need a copy yet.
         auto &pend = pending_[std::size_t(idx)];
         pend.clear();
-        const auto inFirst = graph_.inOff[std::size_t(v)];
-        const auto inLast = graph_.inOff[std::size_t(v) + 1];
-        for (auto i = inFirst; i < inLast; ++i) {
-            const SchedGraph::Arc &a = graph_.in[std::size_t(i)];
+        const RegArc *in = regIn_.data();
+        for (int i = regInOff_[std::size_t(v)];
+             i < regInOff_[std::size_t(v) + 1]; ++i) {
+            const RegArc &a = in[i];
             const std::size_t u = std::size_t(a.other);
-            if (!a.regFlow || !placed_[u] || cluster_[u] == c)
+            const int uc = cluster_[u];
+            if (uc < 0 || uc == c)
                 continue;
             const int need = t + ii_ * a.distance;
             const int committed =
@@ -327,17 +434,18 @@ class ExactSearch
                 continue;
             }
             mergePending(pend, a.other, c,
-                         cycle_[u] + lat_(a.other), need);
+                         cycle_[u] + a.producerLatency, need);
         }
-        const auto outFirst = graph_.outOff[std::size_t(v)];
-        const auto outLast = graph_.outOff[std::size_t(v) + 1];
-        for (auto i = outFirst; i < outLast; ++i) {
-            const SchedGraph::Arc &a = graph_.out[std::size_t(i)];
+        const RegArc *out = regOut_.data();
+        for (int i = regOutOff_[std::size_t(v)];
+             i < regOutOff_[std::size_t(v) + 1]; ++i) {
+            const RegArc &a = out[i];
             const std::size_t s = std::size_t(a.other);
-            if (!a.regFlow || !placed_[s] || cluster_[s] == c)
+            const int sc = cluster_[s];
+            if (sc < 0 || sc == c)
                 continue;
             const int need = cycle_[s] + ii_ * a.distance;
-            mergePending(pend, v, cluster_[s], t + lat_(v), need);
+            mergePending(pend, v, sc, t + a.producerLatency, need);
         }
         for (const PendingCopy &pc : pend) {
             if (pc.valueAt + busLat_ > pc.need) {
@@ -346,9 +454,9 @@ class ExactSearch
             }
         }
 
-        mrt_.reserveFu(c, fuKind_[std::size_t(v)], t);
-        placed_[std::size_t(v)] = 1;
+        mrt_.reserveFuAtRow(c, kind, row);
         cycle_[std::size_t(v)] = t;
+        cycleAt_[std::size_t(idx)] = t;
         cluster_[std::size_t(v)] = c;
         const bool boundChain =
             chain >= 0 && chainCluster_[std::size_t(chain)] < 0;
@@ -372,8 +480,7 @@ class ExactSearch
         if (boundChain)
             chainCluster_[std::size_t(chain)] = -1;
         cluster_[std::size_t(v)] = -1;
-        placed_[std::size_t(v)] = 0;
-        mrt_.releaseFu(c, fuKind_[std::size_t(v)], t);
+        mrt_.releaseFuAtRow(c, kind, row);
         return false;
     }
 
@@ -506,16 +613,27 @@ class ExactSearch
     std::optional<MemChains> chains_;
     std::vector<int> chainIdOf_;
     std::vector<FuKind> fuKind_;
+    std::vector<int> regInOff_;
+    std::vector<RegArc> regIn_;
+    std::vector<int> regOutOff_;
+    std::vector<RegArc> regOut_;
 
     int ii_ = 0;
     int horizon_ = 0;
+    /** MinDist rows, each padded to stride_ (a multiple of kLanes). */
+    std::size_t stride_ = 0;
     std::vector<int> dist_;
+    /** Per-depth copies of the MinDist entries dfs() reads. */
+    std::vector<int> fwdAt_;
+    std::vector<int> backAt_;
+    /** Cycle of the node placed at each depth. */
+    std::vector<int> cycleAt_;
     TimeFrames frames_;
     TimeFramesScratch framesScratch_;
     std::vector<NodeId> order_;
     Mrt mrt_;
-    std::vector<std::uint8_t> placed_;
     std::vector<int> cycle_;
+    /** Cluster per node; -1 while the node is unplaced. */
     std::vector<int> cluster_;
     std::vector<int> copyStart_;
     std::vector<int> chainCluster_;

@@ -7,10 +7,6 @@
 
 namespace vliw {
 
-namespace {
-constexpr int kNumFuKinds = 3;   // Int, Fp, Mem (Bus kept apart)
-} // namespace
-
 Mrt::Mrt(const MachineConfig &cfg, int ii)
 {
     reset(cfg, ii);
@@ -22,71 +18,16 @@ Mrt::reset(const MachineConfig &cfg, int ii)
     vliw_assert(ii >= 1, "II must be positive");
     cfg_ = &cfg;
     ii_ = ii;
+    numClusters_ = cfg.numClusters;
+    capacity_[std::size_t(FuKind::Int)] = cfg.intUnitsPerCluster;
+    capacity_[std::size_t(FuKind::Fp)] = cfg.fpUnitsPerCluster;
+    capacity_[std::size_t(FuKind::Mem)] = cfg.memUnitsPerCluster;
+    capacity_[std::size_t(FuKind::Bus)] = 0;
     fuUse_.assign(std::size_t(ii) * std::size_t(cfg.numClusters) *
                   kNumFuKinds, 0);
     busUse_.assign(std::size_t(ii), 0);
     clusterLoad_.assign(std::size_t(cfg.numClusters), 0);
     busTransfers_ = 0;
-}
-
-int
-Mrt::row(int cycle) const
-{
-    // Hot enough that the 64-bit positiveMod() detour shows up:
-    // one 32-bit division plus a sign fix-up.
-    const int r = cycle % ii_;
-    return r < 0 ? r + ii_ : r;
-}
-
-int
-Mrt::fuCapacity(FuKind kind) const
-{
-    switch (kind) {
-      case FuKind::Int: return cfg_->intUnitsPerCluster;
-      case FuKind::Fp:  return cfg_->fpUnitsPerCluster;
-      case FuKind::Mem: return cfg_->memUnitsPerCluster;
-      case FuKind::Bus: break;
-    }
-    vliw_panic("bus slots are not FU slots");
-}
-
-int &
-Mrt::fuCount(int cluster, FuKind kind, int r)
-{
-    const std::size_t idx =
-        (std::size_t(r) * std::size_t(cfg_->numClusters) +
-         std::size_t(cluster)) * kNumFuKinds + std::size_t(kind);
-    return fuUse_[idx];
-}
-
-int
-Mrt::fuCount(int cluster, FuKind kind, int r) const
-{
-    return const_cast<Mrt *>(this)->fuCount(cluster, kind, r);
-}
-
-bool
-Mrt::fuFree(int cluster, FuKind kind, int cycle) const
-{
-    return fuCount(cluster, kind, row(cycle)) < fuCapacity(kind);
-}
-
-void
-Mrt::reserveFu(int cluster, FuKind kind, int cycle)
-{
-    int &count = fuCount(cluster, kind, row(cycle));
-    vliw_assert(count < fuCapacity(kind), "FU over-reserved");
-    ++count;
-    clusterLoad_[std::size_t(cluster)] += 1;
-}
-
-void
-Mrt::releaseFu(int cluster, FuKind kind, int cycle)
-{
-    int &count = fuCount(cluster, kind, row(cycle));
-    vliw_assert(count > 0, "FU release without reservation");
-    --count;
-    clusterLoad_[std::size_t(cluster)] -= 1;
 }
 
 int
@@ -103,9 +44,12 @@ Mrt::busFree(int cycle) const
         // state slot exists at this II.
         return false;
     }
+    int r = row(cycle);
     for (int j = 0; j < cfg_->regBusOccupancy; ++j) {
-        if (busUse_[std::size_t(row(cycle + j))] >= cfg_->regBuses)
+        if (busUse_[std::size_t(r)] >= cfg_->regBuses)
             return false;
+        if (++r == ii_)
+            r = 0;
     }
     return true;
 }
@@ -142,18 +86,25 @@ void
 Mrt::reserveBus(int cycle)
 {
     vliw_assert(busFree(cycle), "bus over-reserved");
-    for (int j = 0; j < cfg_->regBusOccupancy; ++j)
-        busUse_[std::size_t(row(cycle + j))] += 1;
+    int r = row(cycle);
+    for (int j = 0; j < cfg_->regBusOccupancy; ++j) {
+        busUse_[std::size_t(r)] += 1;
+        if (++r == ii_)
+            r = 0;
+    }
     ++busTransfers_;
 }
 
 void
 Mrt::releaseBus(int cycle)
 {
+    int r = row(cycle);
     for (int j = 0; j < cfg_->regBusOccupancy; ++j) {
-        int &use = busUse_[std::size_t(row(cycle + j))];
+        int &use = busUse_[std::size_t(r)];
         vliw_assert(use > 0, "bus release without reservation");
         --use;
+        if (++r == ii_)
+            r = 0;
     }
     --busTransfers_;
 }

@@ -13,6 +13,7 @@
 
 #include "ddg/op_types.hh"
 #include "machine/machine_config.hh"
+#include "support/logging.hh"
 
 namespace vliw {
 
@@ -34,10 +35,58 @@ class Mrt
 
     int ii() const { return ii_; }
 
+    /** Modulo row of @p cycle: cycle mod II, in [0, II). */
+    int
+    row(int cycle) const
+    {
+        // Hot enough that the 64-bit positiveMod() detour shows up:
+        // one 32-bit division plus a sign fix-up.
+        const int r = cycle % ii_;
+        return r < 0 ? r + ii_ : r;
+    }
+
     /** A unit of @p kind free in @p cluster at @p cycle? */
-    bool fuFree(int cluster, FuKind kind, int cycle) const;
-    void reserveFu(int cluster, FuKind kind, int cycle);
-    void releaseFu(int cluster, FuKind kind, int cycle);
+    bool
+    fuFree(int cluster, FuKind kind, int cycle) const
+    {
+        return fuFreeAtRow(cluster, kind, row(cycle));
+    }
+    void reserveFu(int cluster, FuKind kind, int cycle)
+    {
+        reserveFuAtRow(cluster, kind, row(cycle));
+    }
+    void releaseFu(int cluster, FuKind kind, int cycle)
+    {
+        releaseFuAtRow(cluster, kind, row(cycle));
+    }
+
+    /**
+     * The same three on a modulo row the caller already holds
+     * (row(cycle)), for searches that step cycles one at a time.
+     */
+    bool
+    fuFreeAtRow(int cluster, FuKind kind, int r) const
+    {
+        return fuUse_[slot(cluster, kind, r)] <
+            capacity_[std::size_t(kind)];
+    }
+    void
+    reserveFuAtRow(int cluster, FuKind kind, int r)
+    {
+        int &count = fuUse_[slot(cluster, kind, r)];
+        vliw_assert(count < capacity_[std::size_t(kind)],
+                    "FU over-reserved");
+        ++count;
+        clusterLoad_[std::size_t(cluster)] += 1;
+    }
+    void
+    releaseFuAtRow(int cluster, FuKind kind, int r)
+    {
+        int &count = fuUse_[slot(cluster, kind, r)];
+        vliw_assert(count > 0, "FU release without reservation");
+        --count;
+        clusterLoad_[std::size_t(cluster)] -= 1;
+    }
 
     /** Ops currently booked on FUs of @p cluster (all kinds). */
     int clusterLoad(int cluster) const;
@@ -59,16 +108,26 @@ class Mrt
     int busTransfers() const { return busTransfers_; }
 
   private:
-    int row(int cycle) const;
-    int fuCapacity(FuKind kind) const;
-    int &fuCount(int cluster, FuKind kind, int r);
-    int fuCount(int cluster, FuKind kind, int r) const;
+    /**
+     * Slots per (row, cluster), one per FuKind. Bus transfers are
+     * booked in busUse_, so the Bus slot has capacity 0: it is
+     * never free and reserving it fails the over-reservation check.
+     */
+    static constexpr int kNumFuKinds = 4;
 
-    /** Bus slot usage at row r (how many buses are busy). */
-    int busRowUse(int r) const { return busUse_[std::size_t(r)]; }
+    std::size_t
+    slot(int cluster, FuKind kind, int r) const
+    {
+        return (std::size_t(r) * std::size_t(numClusters_) +
+                std::size_t(cluster)) * kNumFuKinds +
+            std::size_t(kind);
+    }
 
     const MachineConfig *cfg_ = nullptr;
     int ii_ = 0;
+    int numClusters_ = 0;
+    /** Units per cluster of each FU kind, cached at reset(). */
+    int capacity_[kNumFuKinds] = {};
     /** [row][cluster][kind] booked count. */
     std::vector<int> fuUse_;
     /** [row] number of buses occupied. */
