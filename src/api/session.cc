@@ -298,8 +298,12 @@ Session::registerWorkloadText(const std::string &name,
                               const std::string &origin,
                               const std::string &label)
 {
+    std::vector<lang::AstBenchmark> ast;
     std::vector<BenchmarkSpec> specs;
-    if (auto diag = lang::compileWvl(source, specs)) {
+    std::optional<lang::Diag> diag = lang::parseWvl(source, ast);
+    if (!diag)
+        diag = lang::lowerWvl(ast, specs);
+    if (diag) {
         ingestMetrics().parseErrors.add();
         return Status::invalidArgument(
             lang::renderDiag(*diag, source, label),
@@ -312,10 +316,7 @@ Session::registerWorkloadText(const std::string &name,
         for (BenchmarkSpec &spec : specs)
             chosen.push_back(&spec);
     } else if (specs.size() == 1) {
-        if (specs[0].name != name) {
-            specs[0].name = name;
-            specs[0].fingerprint = lang::wvlFingerprint(specs[0]);
-        }
+        specs[0].name = name;
         chosen.push_back(&specs[0]);
     } else {
         for (BenchmarkSpec &spec : specs) {
@@ -331,6 +332,11 @@ Session::registerWorkloadText(const std::string &name,
                     " benchmarks but none is named '" + name +
                     "'");
     }
+
+    // The fingerprint covers the name, so it is taken once, after
+    // any rename.
+    for (BenchmarkSpec *spec : chosen)
+        spec->fingerprint = lang::wvlFingerprint(*spec);
 
     // All-or-nothing: check every name before touching the
     // registry, so a mid-list collision cannot half-register.

@@ -37,17 +37,25 @@ struct Token
     };
 
     Kind kind = Kind::End;
-    std::string text; ///< word or unescaped string contents
+    /**
+     * View into the source: the word, or a string's contents between
+     * the quotes with its escapes still in (see unescape()).
+     */
+    std::string_view text;
     Pos pos;
 };
 
 /**
  * Tokenize @p source into @p out (always ending with one End
- * token). Returns a Diag on the first lexical error, in which case
- * @p out is unspecified; nullopt on success.
+ * token). The tokens view @p source, which must outlive them.
+ * Returns a Diag on the first lexical error, in which case @p out
+ * is unspecified; nullopt on success.
  */
 std::optional<Diag> tokenize(std::string_view source,
                              std::vector<Token> &out);
+
+/** The text of a String token's contents with `\"`/`\\` resolved. */
+std::string unescape(std::string_view raw);
 
 } // namespace vliw::lang
 

@@ -1,9 +1,10 @@
 #include "lang/lower.hh"
 
 #include <algorithm>
-#include <map>
+#include <array>
 
 #include "ddg/op_types.hh"
+#include "lang/name_table.hh"
 #include "lang/writer.hh"
 
 namespace vliw::lang {
@@ -31,28 +32,56 @@ editDistance(const std::string &a, const std::string &b)
     return row[b.size()];
 }
 
-const std::vector<std::pair<std::string, OpKind>> &
-opKindTable()
+constexpr std::array<std::pair<std::string_view, OpKind>, 7> kOpKinds{{
+    {"load", OpKind::Load},     {"store", OpKind::Store},
+    {"intalu", OpKind::IntAlu}, {"intmul", OpKind::IntMul},
+    {"fpalu", OpKind::FpAlu},   {"fpmul", OpKind::FpMul},
+    {"fpdiv", OpKind::FpDiv}}};
+
+constexpr std::array<std::pair<std::string_view, DepKind>, 6> kDepKinds{{
+    {"flow", DepKind::RegFlow},    {"anti", DepKind::RegAnti},
+    {"out", DepKind::RegOut},      {"memflow", DepKind::MemFlow},
+    {"memanti", DepKind::MemAnti}, {"memout", DepKind::MemOut}}};
+
+/** The names of a kind table, for a did-you-mean hint. */
+template <typename Table>
+std::vector<std::string>
+tableNames(const Table &table)
 {
-    static const std::vector<std::pair<std::string, OpKind>> table{
-        {"load", OpKind::Load},     {"store", OpKind::Store},
-        {"intalu", OpKind::IntAlu}, {"intmul", OpKind::IntMul},
-        {"fpalu", OpKind::FpAlu},   {"fpmul", OpKind::FpMul},
-        {"fpdiv", OpKind::FpDiv}};
-    return table;
+    std::vector<std::string> names;
+    for (const auto &[name, kind] : table)
+        names.emplace_back(name);
+    return names;
 }
 
-const std::vector<std::pair<std::string, DepKind>> &
-depKindTable()
+/** "'" + word + "'" */
+std::string
+quoted(std::string_view word)
 {
-    static const std::vector<std::pair<std::string, DepKind>> table{
-        {"flow", DepKind::RegFlow},    {"anti", DepKind::RegAnti},
-        {"out", DepKind::RegOut},      {"memflow", DepKind::MemFlow},
-        {"memanti", DepKind::MemAnti}, {"memout", DepKind::MemOut}};
-    return table;
+    std::string out;
+    out.reserve(word.size() + 2);
+    out += '\'';
+    out += word;
+    out += '\'';
+    return out;
 }
 
-/** One lowering pass; holds the error slot so checks read flat. */
+/** @p msg plus " (did you mean 'X'?)" when a candidate is close. */
+void
+appendHint(std::string &msg, std::string_view given,
+           const std::vector<std::string> &candidates)
+{
+    const std::string hint =
+        didYouMean(std::string(given), candidates);
+    if (!hint.empty())
+        msg += " (did you mean '" + hint + "'?)";
+}
+
+/**
+ * One lowering pass; holds the error slot so checks read flat. The
+ * name tables view the AST (which views the source) and keep their
+ * storage from loop to loop.
+ */
 class Lowerer
 {
   public:
@@ -61,16 +90,16 @@ class Lowerer
         std::vector<BenchmarkSpec> &out)
     {
         out.clear();
-        std::map<std::string, bool> benchNames;
+        NameTable benchNames;
+        benchNames.reset(ast.size());
         for (const AstBenchmark &bench : ast) {
-            if (!benchNames.emplace(bench.name, true).second)
+            if (!benchNames.insert(bench.name, 0))
                 return Diag{bench.namePos,
-                            "duplicate benchmark name '" +
-                                bench.name + "'"};
+                            "duplicate benchmark name " +
+                                quoted(bench.name)};
             BenchmarkSpec spec;
             if (auto diag = lowerBenchmark(bench, spec))
                 return diag;
-            spec.fingerprint = wvlFingerprint(spec);
             out.push_back(std::move(spec));
         }
         return std::nullopt;
@@ -80,7 +109,7 @@ class Lowerer
     std::optional<Diag>
     lowerBenchmark(const AstBenchmark &bench, BenchmarkSpec &spec)
     {
-        spec.name = bench.name;
+        spec.name = std::string(bench.name);
         if (bench.hasMainSize) {
             if (bench.mainSize != 1 && bench.mainSize != 2 &&
                 bench.mainSize != 4 && bench.mainSize != 8)
@@ -104,12 +133,11 @@ class Lowerer
                         "too many symbols (max " +
                             std::to_string(kMaxSymbolsPerBenchmark) +
                             ")"};
-        std::map<std::string, SymbolId> symbolIds;
-        std::vector<std::string> symbolNames;
+        symbolIds_.reset(bench.symbols.size());
         for (const AstSymbol &sym : bench.symbols) {
-            if (symbolIds.count(sym.name))
-                return Diag{sym.namePos, "duplicate symbol name '" +
-                                             sym.name + "'"};
+            if (symbolIds_.find(sym.name) >= 0)
+                return Diag{sym.namePos, "duplicate symbol name " +
+                                             quoted(sym.name)};
             if (sym.size < 1 || sym.size > kMaxSymbolBytes)
                 return Diag{sym.sizePos,
                             "symbol size must be within [1, " +
@@ -125,33 +153,33 @@ class Lowerer
                     storage = SymbolSpec::Storage::Heap;
                 else
                     return Diag{sym.storagePos,
-                                "unknown storage class '" +
-                                    sym.storage +
-                                    "' (expected global, stack or "
+                                "unknown storage class " +
+                                    quoted(sym.storage) +
+                                    " (expected global, stack or "
                                     "heap)"};
             }
-            symbolIds[sym.name] =
-                spec.addSymbol(sym.name, sym.size, storage);
-            symbolNames.push_back(sym.name);
+            symbolIds_.insert(sym.name,
+                              spec.addSymbol(std::string(sym.name),
+                                             sym.size, storage));
         }
 
         if (bench.loops.empty())
-            return Diag{bench.pos, "benchmark '" + bench.name +
-                                       "' defines no loop"};
+            return Diag{bench.pos, "benchmark " + quoted(bench.name) +
+                                       " defines no loop"};
         if (bench.loops.size() >
             static_cast<std::size_t>(kMaxLoopsPerBenchmark))
             return Diag{bench.pos,
                         "too many loops (max " +
                             std::to_string(kMaxLoopsPerBenchmark) +
                             ")"};
-        std::map<std::string, bool> loopNames;
+        NameTable loopNames;
+        loopNames.reset(bench.loops.size());
         for (const AstLoop &loop : bench.loops) {
-            if (!loopNames.emplace(loop.name, true).second)
-                return Diag{loop.namePos, "duplicate loop name '" +
-                                              loop.name + "'"};
+            if (!loopNames.insert(loop.name, 0))
+                return Diag{loop.namePos, "duplicate loop name " +
+                                              quoted(loop.name)};
             LoopSpec lowered;
-            if (auto diag = lowerLoop(loop, symbolIds, symbolNames,
-                                      lowered))
+            if (auto diag = lowerLoop(loop, bench, lowered))
                 return diag;
             spec.loops.push_back(std::move(lowered));
         }
@@ -159,12 +187,10 @@ class Lowerer
     }
 
     std::optional<Diag>
-    lowerLoop(const AstLoop &loop,
-              const std::map<std::string, SymbolId> &symbolIds,
-              const std::vector<std::string> &symbolNames,
+    lowerLoop(const AstLoop &loop, const AstBenchmark &bench,
               LoopSpec &out)
     {
-        out.name = loop.name;
+        out.name = std::string(loop.name);
         if (loop.trip < 8)
             return Diag{loop.tripPos,
                         "trip count must be >= 8 (loops iterating "
@@ -186,8 +212,8 @@ class Lowerer
         out.invocations = static_cast<int>(loop.invocations);
 
         // Pass 1: create every node so dep lines may forward-ref.
-        std::map<std::string, NodeId> nodeIds;
-        std::vector<std::string> nodeNames;
+        loop_ = &loop;
+        nodeIds_.reset(loop.stmts.size());
         std::size_t opCount = 0;
         for (const AstStmt &stmt : loop.stmts) {
             if (stmt.kind != AstStmt::Kind::Op)
@@ -196,18 +222,16 @@ class Lowerer
             if (opCount >
                 static_cast<std::size_t>(kMaxOpsPerLoop))
                 return Diag{stmt.op.pos,
-                            "too many ops in loop '" + loop.name +
-                                "' (max " +
+                            "too many ops in loop " +
+                                quoted(loop.name) + " (max " +
                                 std::to_string(kMaxOpsPerLoop) +
                                 ")"};
-            if (auto diag = lowerOp(stmt.op, symbolIds, symbolNames,
-                                    nodeIds, out))
+            if (auto diag = lowerOp(stmt.op, bench, out))
                 return diag;
-            nodeNames.push_back(stmt.op.id);
         }
         if (opCount == 0)
-            return Diag{loop.pos, "loop '" + loop.name +
-                                      "' has no ops"};
+            return Diag{loop.pos, "loop " + quoted(loop.name) +
+                                      " has no ops"};
 
         // Pass 2: edges, in statement order (the DDG is
         // append-only, so file order is edge order).
@@ -216,14 +240,13 @@ class Lowerer
             std::optional<Diag> diag;
             switch (stmt.kind) {
             case AstStmt::Kind::Op:
-                diag = opEdges(stmt.op, nodeIds, nodeNames, out);
+                diag = opEdges(stmt.op, out);
                 break;
             case AstStmt::Kind::Dep:
-                diag = depEdge(stmt.dep, nodeIds, nodeNames, out);
+                diag = depEdge(stmt.dep, out);
                 break;
             case AstStmt::Kind::Chain:
-                diag = chainEdges(stmt.chain, nodeIds, nodeNames,
-                                  out);
+                diag = chainEdges(stmt.chain, out);
                 break;
             }
             if (diag)
@@ -233,22 +256,18 @@ class Lowerer
     }
 
     std::optional<Diag>
-    lowerOp(const AstOp &op,
-            const std::map<std::string, SymbolId> &symbolIds,
-            const std::vector<std::string> &symbolNames,
-            std::map<std::string, NodeId> &nodeIds,
-            LoopSpec &out)
+    lowerOp(const AstOp &op, const AstBenchmark &bench, LoopSpec &out)
     {
-        if (nodeIds.count(op.id))
+        if (nodeIds_.find(op.id) >= 0)
             return Diag{op.idPos,
-                        "duplicate op id '" + op.id + "'"};
+                        "duplicate op id " + quoted(op.id)};
         if (op.kind == "copy")
             return Diag{op.kindPos,
                         "'copy' is reserved for the scheduler's "
                         "inserted inter-cluster copies"};
         OpKind kind = OpKind::IntAlu;
         bool known = false;
-        for (const auto &[name, k] : opKindTable()) {
+        for (const auto &[name, k] : kOpKinds) {
             if (name == op.kind) {
                 kind = k;
                 known = true;
@@ -256,21 +275,15 @@ class Lowerer
             }
         }
         if (!known) {
-            std::vector<std::string> names;
-            for (const auto &[name, k] : opKindTable())
-                names.push_back(name);
-            std::string msg =
-                "unknown op kind '" + op.kind + "'";
-            const std::string hint = didYouMean(op.kind, names);
-            if (!hint.empty())
-                msg += " (did you mean '" + hint + "'?)";
+            std::string msg = "unknown op kind " + quoted(op.kind);
+            appendHint(msg, op.kind, tableNames(kOpKinds));
             return Diag{op.kindPos, std::move(msg)};
         }
 
         const bool isMem =
             kind == OpKind::Load || kind == OpKind::Store;
-        const std::string display =
-            op.hasDisplay ? op.display : op.id;
+        std::string display =
+            op.hasDisplay ? op.display : std::string(op.id);
         if (!isMem) {
             // Memory attributes are meaningless off a load/store;
             // name the first offender instead of ignoring it.
@@ -304,8 +317,9 @@ class Lowerer
                                     "]"};
                 latency = static_cast<int>(op.latency);
             }
-            nodeIds[op.id] =
-                out.body.addNode(kind, display, latency);
+            nodeIds_.insert(op.id, out.body.addNode(
+                                       kind, std::move(display),
+                                       latency));
             return std::nullopt;
         }
 
@@ -324,23 +338,26 @@ class Lowerer
                             (kind == OpKind::Load ? "load"
                                                   : "store") +
                             " SYM gran 4 stride 4')"};
-        const auto sym = symbolIds.find(op.symbol);
-        if (sym == symbolIds.end()) {
-            std::string msg =
-                "unknown symbol '" + op.symbol + "'";
+        const int symbol = symbolIds_.find(op.symbol);
+        if (symbol < 0) {
+            std::string msg = "unknown symbol " + quoted(op.symbol);
+            std::vector<std::string> symbolNames;
+            for (const AstSymbol &s : bench.symbols)
+                symbolNames.emplace_back(s.name);
             const std::string hint =
-                didYouMean(op.symbol, symbolNames);
+                didYouMean(std::string(op.symbol), symbolNames);
             if (!hint.empty())
                 msg += " (did you mean '" + hint + "'?)";
             else if (symbolNames.empty())
                 msg += " (no symbols declared; add 'symbol " +
-                       op.symbol + " size N' to the benchmark)";
+                       std::string(op.symbol) +
+                       " size N' to the benchmark)";
             return Diag{op.symbolPos, std::move(msg)};
         }
 
         MemAccessInfo info;
         info.isStore = kind == OpKind::Store;
-        info.symbol = sym->second;
+        info.symbol = symbol;
         info.granularity = 4;
         if (op.hasGran) {
             if (op.gran != 1 && op.gran != 2 && op.gran != 4 &&
@@ -400,26 +417,28 @@ class Lowerer
             info.invocationStride = op.invstride;
         }
         info.attractable = !op.noattract;
-        nodeIds[op.id] = out.body.addMemNode(kind, info, display);
+        nodeIds_.insert(op.id, out.body.addMemNode(
+                                   kind, info, std::move(display)));
         return std::nullopt;
     }
 
     std::optional<Diag>
-    resolveRef(const AstRef &ref,
-               const std::map<std::string, NodeId> &nodeIds,
-               const std::vector<std::string> &nodeNames,
-               const char *what, NodeId &out)
+    resolveRef(const AstRef &ref, const char *what, NodeId &out)
     {
-        const auto it = nodeIds.find(ref.id);
-        if (it == nodeIds.end()) {
-            std::string msg = std::string(what) + " '" + ref.id +
-                              "' does not name an op in this loop";
-            const std::string hint = didYouMean(ref.id, nodeNames);
-            if (!hint.empty())
-                msg += " (did you mean '" + hint + "'?)";
+        const int id = nodeIds_.find(ref.id);
+        if (id < 0) {
+            std::string msg = std::string(what) + " " +
+                              quoted(ref.id) +
+                              " does not name an op in this loop";
+            // The loop's op ids in statement order, as candidates.
+            std::vector<std::string> nodeNames;
+            for (const AstStmt &stmt : loop_->stmts)
+                if (stmt.kind == AstStmt::Kind::Op)
+                    nodeNames.emplace_back(stmt.op.id);
+            appendHint(msg, ref.id, nodeNames);
             return Diag{ref.pos, std::move(msg)};
         }
-        out = it->second;
+        out = id;
         return std::nullopt;
     }
 
@@ -438,16 +457,12 @@ class Lowerer
     }
 
     std::optional<Diag>
-    opEdges(const AstOp &op,
-            const std::map<std::string, NodeId> &nodeIds,
-            const std::vector<std::string> &nodeNames,
-            LoopSpec &out)
+    opEdges(const AstOp &op, LoopSpec &out)
     {
-        const NodeId self = nodeIds.at(op.id);
+        const NodeId self = nodeIds_.find(op.id);
         for (const AstRef &ref : op.from) {
             NodeId src = 0;
-            if (auto diag = resolveRef(ref, nodeIds, nodeNames,
-                                       "operand", src))
+            if (auto diag = resolveRef(ref, "operand", src))
                 return diag;
             if (auto diag = addEdge(out, src, self,
                                     DepKind::RegFlow, 0, ref.pos))
@@ -455,8 +470,7 @@ class Lowerer
         }
         if (op.hasValue) {
             NodeId src = 0;
-            if (auto diag = resolveRef(op.value, nodeIds, nodeNames,
-                                       "store value", src))
+            if (auto diag = resolveRef(op.value, "store value", src))
                 return diag;
             if (auto diag =
                     addEdge(out, src, self, DepKind::RegFlow, 0,
@@ -467,22 +481,18 @@ class Lowerer
     }
 
     std::optional<Diag>
-    depEdge(const AstDep &dep,
-            const std::map<std::string, NodeId> &nodeIds,
-            const std::vector<std::string> &nodeNames,
-            LoopSpec &out)
+    depEdge(const AstDep &dep, LoopSpec &out)
     {
         NodeId src = 0;
         NodeId dst = 0;
-        if (auto diag = resolveRef(dep.src, nodeIds, nodeNames,
-                                   "dependence source", src))
+        if (auto diag = resolveRef(dep.src, "dependence source", src))
             return diag;
-        if (auto diag = resolveRef(dep.dst, nodeIds, nodeNames,
-                                   "dependence destination", dst))
+        if (auto diag =
+                resolveRef(dep.dst, "dependence destination", dst))
             return diag;
         DepKind kind = DepKind::RegFlow;
         bool known = false;
-        for (const auto &[name, k] : depKindTable()) {
+        for (const auto &[name, k] : kDepKinds) {
             if (name == dep.kind) {
                 kind = k;
                 known = true;
@@ -490,14 +500,9 @@ class Lowerer
             }
         }
         if (!known) {
-            std::vector<std::string> names;
-            for (const auto &[name, k] : depKindTable())
-                names.push_back(name);
             std::string msg =
-                "unknown dependence kind '" + dep.kind + "'";
-            const std::string hint = didYouMean(dep.kind, names);
-            if (!hint.empty())
-                msg += " (did you mean '" + hint + "'?)";
+                "unknown dependence kind " + quoted(dep.kind);
+            appendHint(msg, dep.kind, tableNames(kDepKinds));
             return Diag{dep.kindPos, std::move(msg)};
         }
         const bool memKind = kind == DepKind::MemFlow ||
@@ -522,35 +527,34 @@ class Lowerer
     }
 
     std::optional<Diag>
-    chainEdges(const AstChain &chain,
-               const std::map<std::string, NodeId> &nodeIds,
-               const std::vector<std::string> &nodeNames,
-               LoopSpec &out)
+    chainEdges(const AstChain &chain, LoopSpec &out)
     {
-        std::vector<NodeId> ops;
+        chainOps_.clear();
         for (const AstRef &ref : chain.ops) {
             NodeId id = 0;
-            if (auto diag = resolveRef(ref, nodeIds, nodeNames,
-                                       "chain op", id))
+            if (auto diag = resolveRef(ref, "chain op", id))
                 return diag;
             if (!out.body.isMemNode(id))
                 return Diag{ref.pos,
-                            "chain links memory ops only ('" +
-                                ref.id + "' is not a load/store)"};
-            ops.push_back(id);
+                            "chain links memory ops only (" +
+                                quoted(ref.id) +
+                                " is not a load/store)"};
+            chainOps_.push_back(id);
         }
         // Same edge-kind selection as KernelBuilder::chain().
-        for (std::size_t i = 0; i + 1 < ops.size(); ++i) {
-            const bool aStore = out.body.memInfo(ops[i]).isStore;
+        for (std::size_t i = 0; i + 1 < chainOps_.size(); ++i) {
+            const bool aStore =
+                out.body.memInfo(chainOps_[i]).isStore;
             const bool bStore =
-                out.body.memInfo(ops[i + 1]).isStore;
+                out.body.memInfo(chainOps_[i + 1]).isStore;
             DepKind kind = DepKind::MemAnti;
             if (aStore && bStore)
                 kind = DepKind::MemOut;
             else if (aStore && !bStore)
                 kind = DepKind::MemFlow;
-            if (auto diag = addEdge(out, ops[i], ops[i + 1], kind,
-                                    0, chain.ops[i + 1].pos))
+            if (auto diag = addEdge(out, chainOps_[i],
+                                    chainOps_[i + 1], kind, 0,
+                                    chain.ops[i + 1].pos))
                 return diag;
         }
         return std::nullopt;
@@ -564,40 +568,45 @@ class Lowerer
     std::optional<Diag>
     findZeroCycle(const LoopSpec &loop)
     {
-        const int n = loop.body.numNodes();
-        std::vector<std::vector<std::size_t>> adj(
-            static_cast<std::size_t>(n));
-        for (std::size_t e = 0; e < edges_.size(); ++e) {
+        const std::size_t n =
+            static_cast<std::size_t>(loop.body.numNodes());
+        // Zero-distance edges by source, in edge order (CSR).
+        adjOff_.assign(n + 1, 0);
+        for (const Edge &e : edges_)
+            if (e.distance == 0)
+                ++adjOff_[static_cast<std::size_t>(e.src) + 1];
+        for (std::size_t v = 0; v < n; ++v)
+            adjOff_[v + 1] += adjOff_[v];
+        adj_.resize(adjOff_[n]);
+        fill_.assign(adjOff_.begin(), adjOff_.end() - 1);
+        for (std::size_t e = 0; e < edges_.size(); ++e)
             if (edges_[e].distance == 0)
-                adj[static_cast<std::size_t>(edges_[e].src)]
-                    .push_back(e);
-        }
+                adj_[fill_[static_cast<std::size_t>(
+                    edges_[e].src)]++] = e;
+
         // Colors: 0 unvisited, 1 on stack, 2 done.
-        std::vector<int> color(static_cast<std::size_t>(n), 0);
-        std::vector<std::size_t> parentEdge(
-            static_cast<std::size_t>(n), 0);
-        for (int start = 0; start < n; ++start) {
-            if (color[static_cast<std::size_t>(start)] != 0)
+        color_.assign(n, 0);
+        for (std::size_t start = 0; start < n; ++start) {
+            if (color_[start] != 0)
                 continue;
-            std::vector<std::pair<NodeId, std::size_t>> stack;
-            stack.push_back({start, 0});
-            color[static_cast<std::size_t>(start)] = 1;
-            while (!stack.empty()) {
-                auto &[node, next] = stack.back();
-                const auto &out =
-                    adj[static_cast<std::size_t>(node)];
-                if (next >= out.size()) {
-                    color[static_cast<std::size_t>(node)] = 2;
-                    stack.pop_back();
+            stack_.clear();
+            stack_.push_back({NodeId(start), adjOff_[start]});
+            color_[start] = 1;
+            while (!stack_.empty()) {
+                auto &[node, next] = stack_.back();
+                const std::size_t v = static_cast<std::size_t>(node);
+                if (next >= adjOff_[v + 1]) {
+                    color_[v] = 2;
+                    stack_.pop_back();
                     continue;
                 }
-                const std::size_t e = out[next++];
+                const std::size_t e = adj_[next++];
                 const NodeId dst = edges_[e].dst;
-                if (color[static_cast<std::size_t>(dst)] == 1) {
+                if (color_[static_cast<std::size_t>(dst)] == 1) {
                     // Back edge: spell the cycle out of the stack.
                     std::vector<NodeId> cycle{dst};
-                    for (auto it = stack.rbegin();
-                         it != stack.rend(); ++it) {
+                    for (auto it = stack_.rbegin();
+                         it != stack_.rend(); ++it) {
                         cycle.push_back(it->first);
                         if (it->first == dst)
                             break;
@@ -615,10 +624,10 @@ class Lowerer
                            " (recurrences need dist >= 1)";
                     return Diag{edges_[e].pos, std::move(msg)};
                 }
-                if (color[static_cast<std::size_t>(dst)] == 0) {
-                    color[static_cast<std::size_t>(dst)] = 1;
-                    parentEdge[static_cast<std::size_t>(dst)] = e;
-                    stack.push_back({dst, 0});
+                if (color_[static_cast<std::size_t>(dst)] == 0) {
+                    color_[static_cast<std::size_t>(dst)] = 1;
+                    stack_.push_back(
+                        {dst, adjOff_[static_cast<std::size_t>(dst)]});
                 }
             }
         }
@@ -639,7 +648,17 @@ class Lowerer
         int distance = 0;
         Pos pos;
     };
+
+    const AstLoop *loop_ = nullptr;
+    NameTable symbolIds_;
+    NameTable nodeIds_;
+    std::vector<NodeId> chainOps_;
     std::vector<Edge> edges_;
+    std::vector<std::size_t> adjOff_;
+    std::vector<std::size_t> adj_;
+    std::vector<std::size_t> fill_;
+    std::vector<int> color_;
+    std::vector<std::pair<NodeId, std::size_t>> stack_;
 };
 
 } // namespace
@@ -673,7 +692,11 @@ compileWvl(std::string_view source, std::vector<BenchmarkSpec> &out)
     std::vector<AstBenchmark> ast;
     if (auto diag = parseWvl(source, ast))
         return diag;
-    return lowerWvl(ast, out);
+    if (auto diag = lowerWvl(ast, out))
+        return diag;
+    for (BenchmarkSpec &spec : out)
+        spec.fingerprint = wvlFingerprint(spec);
+    return std::nullopt;
 }
 
 } // namespace vliw::lang

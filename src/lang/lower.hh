@@ -45,16 +45,18 @@ constexpr std::int64_t kMaxAddressMagnitude = std::int64_t(1)
 
 /**
  * Validate and lower every benchmark of @p ast into @p out (one
- * BenchmarkSpec per `benchmark` block, in source order, fingerprint
- * set). Returns the first semantic error as a Diag, in which case
- * @p out is unspecified; nullopt on success.
+ * BenchmarkSpec per `benchmark` block, in source order). The
+ * fingerprint is left empty: it covers the spec's name, so a caller
+ * that renames a spec fingerprints it once, afterwards. Returns the
+ * first semantic error as a Diag, in which case @p out is
+ * unspecified; nullopt on success.
  */
 std::optional<Diag> lowerWvl(const std::vector<AstBenchmark> &ast,
                              std::vector<BenchmarkSpec> &out);
 
 /**
- * Parse + validate + lower in one call (the shape every front door
- * uses). On error @p out is unspecified.
+ * Parse + validate + lower + fingerprint in one call. On error
+ * @p out is unspecified.
  */
 std::optional<Diag> compileWvl(std::string_view source,
                                std::vector<BenchmarkSpec> &out);

@@ -1,8 +1,11 @@
 #include "lang/parser.hh"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
+#include <charconv>
 #include <cstdlib>
-#include <set>
+#include <string>
 
 #include "lang/lexer.hh"
 
@@ -10,14 +13,29 @@ namespace vliw::lang {
 
 namespace {
 
-const std::set<std::string> &
-attrKeywords()
+bool
+isAttrKeyword(std::string_view word)
 {
-    static const std::set<std::string> kw{
+    static constexpr std::array<std::string_view, 11> kw{
         "gran",      "stride",    "indirect", "range",
         "offset",    "invstride", "noattract", "latency",
         "name",      "from",      "value"};
-    return kw;
+    for (std::string_view k : kw)
+        if (k == word)
+            return true;
+    return false;
+}
+
+/** "'" + word + "'" */
+std::string
+quotedWord(std::string_view word)
+{
+    std::string out;
+    out.reserve(word.size() + 2);
+    out += '\'';
+    out += word;
+    out += '\'';
+    return out;
 }
 
 class Parser
@@ -81,9 +99,9 @@ class Parser
     {
         switch (t.kind) {
         case Token::Kind::Word:
-            return "'" + t.text + "'";
+            return quotedWord(t.text);
         case Token::Kind::String:
-            return "string \"" + t.text + "\"";
+            return "string \"" + unescape(t.text) + "\"";
         case Token::Kind::LBrace:
             return "'{'";
         case Token::Kind::RBrace:
@@ -102,7 +120,7 @@ class Parser
 
     /** Consume a word; any word qualifies. */
     bool
-    word(const char *what, std::string &text, Pos &pos)
+    word(const char *what, std::string_view &text, Pos &pos)
     {
         if (cur().kind != Token::Kind::Word)
             return fail(cur().pos, std::string("expected ") + what +
@@ -134,6 +152,18 @@ class Parser
         return true;
     }
 
+    /** Lines before the next '}': a bound on a body's statements. */
+    std::size_t
+    linesToClose() const
+    {
+        std::size_t lines = 0;
+        for (std::size_t k = i_; toks_[k].kind != Token::Kind::RBrace &&
+                                 toks_[k].kind != Token::Kind::End;
+             ++k)
+            lines += toks_[k].kind == Token::Kind::Newline;
+        return lines;
+    }
+
     /** Statement terminator: one or more newlines. */
     bool
     endOfLine()
@@ -151,18 +181,20 @@ class Parser
         if (cur().kind != Token::Kind::Word)
             return fail(cur().pos, std::string("expected ") + what +
                                        ", got " + describe(cur()));
-        const std::string &text = cur().text;
-        errno = 0;
-        char *end = nullptr;
-        const long long v = std::strtoll(text.c_str(), &end, 10);
-        if (errno == ERANGE)
+        // Words never hold '+' or spaces, so from_chars accepts
+        // exactly what strtoll(..., 10) would.
+        const std::string_view text = cur().text;
+        long long v = 0;
+        const auto [end, ec] =
+            std::from_chars(text.data(), text.data() + text.size(), v);
+        if (ec == std::errc::result_out_of_range)
             return fail(cur().pos,
-                        std::string(what) + " '" + text +
-                            "' is out of range");
-        if (end == text.c_str() || *end != '\0')
+                        std::string(what) + " " + quotedWord(text) +
+                            " is out of range");
+        if (ec != std::errc() || end != text.data() + text.size())
             return fail(cur().pos, std::string("expected ") + what +
-                                       " (an integer), got '" +
-                                       text + "'");
+                                       " (an integer), got " +
+                                       quotedWord(text));
         value = v;
         pos = cur().pos;
         advance();
@@ -175,7 +207,7 @@ class Parser
         if (cur().kind != Token::Kind::Word)
             return fail(cur().pos, std::string("expected ") + what +
                                        ", got " + describe(cur()));
-        const std::string &text = cur().text;
+        const std::string text(cur().text);
         errno = 0;
         char *end = nullptr;
         const double v = std::strtod(text.c_str(), &end);
@@ -208,8 +240,9 @@ class Parser
         while (cur().kind != Token::Kind::RBrace) {
             if (cur().kind == Token::Kind::End)
                 return fail(cur().pos,
-                            "unclosed benchmark '" + bench.name +
-                                "' (missing '}')");
+                            "unclosed benchmark " +
+                                quotedWord(bench.name) +
+                                " (missing '}')");
             if (cur().kind != Token::Kind::Word)
                 return fail(cur().pos,
                             "expected 'maindata', 'symbol', 'loop' "
@@ -315,15 +348,16 @@ class Parser
         }
         if (!punct(Token::Kind::LBrace, "'{'") || !endOfLine())
             return false;
+        // Capped: a hostile body of blank lines must not reserve
+        // gigabytes.
+        loop.stmts.reserve(std::min<std::size_t>(linesToClose(), 512));
         while (cur().kind != Token::Kind::RBrace) {
             if (cur().kind == Token::Kind::End)
-                return fail(cur().pos, "unclosed loop '" +
-                                           loop.name +
-                                           "' (missing '}')");
-            AstStmt stmt;
-            if (!parseLoopStmt(stmt))
+                return fail(cur().pos, "unclosed loop " +
+                                           quotedWord(loop.name) +
+                                           " (missing '}')");
+            if (!parseLoopStmt(loop.stmts.emplace_back()))
                 return false;
-            loop.stmts.push_back(std::move(stmt));
         }
         advance(); // '}'
         return endOfLine();
@@ -405,7 +439,7 @@ class Parser
         // A word that is not an attribute keyword right after the
         // kind is the memory symbol operand (`load src gran 2`).
         if (cur().kind == Token::Kind::Word &&
-            !attrKeywords().count(cur().text)) {
+            !isAttrKeyword(cur().text)) {
             if (!word("symbol", op.symbol, op.symbolPos))
                 return false;
         }
@@ -419,7 +453,7 @@ class Parser
     bool
     parseOpAttr(AstOp &op)
     {
-        const Token attr = cur();
+        const Token &attr = cur();
         if (attr.text == "gran") {
             advance();
             op.hasGran = true;
@@ -475,7 +509,7 @@ class Parser
                 return fail(cur().pos,
                             "expected a quoted display name, got " +
                                 describe(cur()));
-            op.display = cur().text;
+            op.display = unescape(cur().text);
             op.hasDisplay = true;
             advance();
             return true;
@@ -484,7 +518,7 @@ class Parser
             advance();
             bool any = false;
             while (cur().kind == Token::Kind::Word &&
-                   !attrKeywords().count(cur().text)) {
+                   !isAttrKeyword(cur().text)) {
                 AstRef r;
                 if (!ref("operand op", r))
                     return false;
@@ -502,7 +536,7 @@ class Parser
             return ref("store value op", op.value);
         }
         return fail(attr.pos,
-                    "unknown op attribute '" + attr.text + "'");
+                    "unknown op attribute " + quotedWord(attr.text));
     }
 
     std::vector<Token> toks_;

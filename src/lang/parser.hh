@@ -24,6 +24,9 @@
  *
  * Attribute keywords are reserved in operand position: a `from`
  * list ends at the first word that names another attribute.
+ *
+ * Names in the AST are views into the parsed source, which must
+ * outlive the AST.
  */
 
 #ifndef WIVLIW_LANG_PARSER_HH
@@ -42,7 +45,7 @@ namespace vliw::lang {
 /** A use of an op id (operand, dep endpoint, chain element). */
 struct AstRef
 {
-    std::string id;
+    std::string_view id;
     Pos pos;
 };
 
@@ -50,12 +53,12 @@ struct AstRef
 struct AstOp
 {
     Pos pos;
-    std::string id;
+    std::string_view id;
     Pos idPos;
-    std::string kind; ///< raw word; resolved during lowering
+    std::string_view kind; ///< raw word; resolved during lowering
     Pos kindPos;
 
-    std::string symbol; ///< empty = no symbol operand given
+    std::string_view symbol; ///< empty = no symbol operand given
     Pos symbolPos;
     std::int64_t gran = 0;
     bool hasGran = false;
@@ -92,7 +95,7 @@ struct AstDep
     Pos pos;
     AstRef src;
     AstRef dst;
-    std::string kind; ///< raw word; resolved during lowering
+    std::string_view kind; ///< raw word; resolved during lowering
     Pos kindPos;
     std::int64_t dist = 0;
     bool hasDist = false;
@@ -119,7 +122,7 @@ struct AstStmt
 struct AstLoop
 {
     Pos pos;
-    std::string name;
+    std::string_view name;
     Pos namePos;
     std::int64_t trip = 0;
     Pos tripPos;
@@ -132,11 +135,11 @@ struct AstLoop
 struct AstSymbol
 {
     Pos pos;
-    std::string name;
+    std::string_view name;
     Pos namePos;
     std::int64_t size = 0;
     Pos sizePos;
-    std::string storage; ///< raw word; resolved during lowering
+    std::string_view storage; ///< raw word; resolved during lowering
     bool hasStorage = false;
     Pos storagePos;
 };
@@ -144,7 +147,7 @@ struct AstSymbol
 struct AstBenchmark
 {
     Pos pos;
-    std::string name;
+    std::string_view name;
     Pos namePos;
     std::int64_t mainSize = 4;
     bool hasMainSize = false;
@@ -157,9 +160,9 @@ struct AstBenchmark
 };
 
 /**
- * Parse @p source into @p out. Returns the first syntax error as a
- * Diag (with @p out unspecified), nullopt on success. Total: never
- * throws or crashes on any input.
+ * Parse @p source into @p out, whose names view @p source. Returns
+ * the first syntax error as a Diag (with @p out unspecified),
+ * nullopt on success. Total: never throws or crashes on any input.
  */
 std::optional<Diag> parseWvl(std::string_view source,
                              std::vector<AstBenchmark> &out);

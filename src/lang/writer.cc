@@ -1,28 +1,33 @@
 #include "lang/writer.hh"
 
+#include <array>
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <set>
-#include <sstream>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "ddg/op_types.hh"
+#include "lang/name_table.hh"
 
 namespace vliw::lang {
 
 namespace {
 
 /** Words the parser treats specially in operand position. */
-const std::set<std::string> &
-reservedIds()
+bool
+isReservedId(std::string_view name)
 {
-    static const std::set<std::string> reserved{
+    static constexpr std::array<std::string_view, 14> kReserved{
         "dep",    "chain",     "gran",      "stride",
         "indirect", "range",   "offset",    "invstride",
         "noattract", "latency", "name",     "from",
         "value",  "unknown"};
-    return reserved;
+    for (std::string_view r : kReserved)
+        if (r == name)
+            return true;
+    return false;
 }
 
 bool
@@ -35,19 +40,55 @@ isWordChar(char c)
 
 /** Can @p name be written as a bare id and lex back as one word? */
 bool
-usableId(const std::string &name)
+usableId(std::string_view name)
 {
-    if (name.empty() || reservedIds().count(name))
+    if (name.empty() || isReservedId(name))
         return false;
     for (char c : name) {
         if (!isWordChar(c))
             return false;
     }
-    return name.find("->") == std::string::npos;
+    return name.find("->") == std::string_view::npos;
 }
 
+/** Appends to the dump buffer; integers go through to_chars. */
+class Out
+{
+  public:
+    explicit Out(std::string &buf) : buf_(buf) {}
+
+    Out &
+    operator<<(std::string_view text)
+    {
+        buf_.append(text);
+        return *this;
+    }
+
+    Out &
+    operator<<(char c)
+    {
+        buf_ += c;
+        return *this;
+    }
+
+    Out &
+    operator<<(std::int64_t v)
+    {
+        char digits[24];
+        const auto res =
+            std::to_chars(digits, digits + sizeof(digits), v);
+        buf_.append(digits, res.ptr);
+        return *this;
+    }
+
+    Out &operator<<(int v) { return *this << std::int64_t(v); }
+
+  private:
+    std::string &buf_;
+};
+
 std::string
-quoted(const std::string &text)
+quoted(std::string_view text)
 {
     std::string out = "\"";
     for (char c : text) {
@@ -120,57 +161,76 @@ depKindWord(DepKind kind)
  * Pick a writable id per node: the node's own name when it lexes
  * as one word, is not reserved and is unique in the loop;
  * otherwise a fresh `n<index>`-style fallback (with the original
- * kept as a `name "..."` attribute).
+ * kept as a `name "..."` attribute). The ids view the node names
+ * and @p fallbacks.
  */
-std::vector<std::string>
-nodeIds(const Ddg &body, std::vector<bool> &renamed)
+std::vector<std::string_view>
+nodeIds(const Ddg &body, std::vector<bool> &renamed,
+        std::vector<std::string> &fallbacks)
 {
     const int n = body.numNodes();
-    std::set<std::string> counts;
-    std::set<std::string> dups;
+    // First node carrying each name; a repeat marks both as shared.
+    NameTable first;
+    first.reset(std::size_t(n));
+    std::vector<bool> shared(std::size_t(n), false);
     for (NodeId id = 0; id < n; ++id) {
         const std::string &name = body.node(id).name;
-        if (!counts.insert(name).second)
-            dups.insert(name);
-    }
-    std::vector<std::string> ids(static_cast<std::size_t>(n));
-    renamed.assign(static_cast<std::size_t>(n), false);
-    std::set<std::string> used;
-    for (NodeId id = 0; id < n; ++id) {
-        const std::string &name = body.node(id).name;
-        if (usableId(name) && !dups.count(name)) {
-            ids[std::size_t(id)] = name;
-            used.insert(name);
+        if (!first.insert(name, id)) {
+            shared[std::size_t(first.find(name))] = true;
+            shared[std::size_t(id)] = true;
         }
     }
+    std::vector<std::string_view> ids(static_cast<std::size_t>(n));
+    renamed.assign(static_cast<std::size_t>(n), false);
     for (NodeId id = 0; id < n; ++id) {
-        if (!ids[std::size_t(id)].empty())
+        const std::string &name = body.node(id).name;
+        if (!shared[std::size_t(id)] && usableId(name))
+            ids[std::size_t(id)] = name;
+        else
+            renamed[std::size_t(id)] = true;
+    }
+    // Reserved up front: the ids view these strings, so they must
+    // never move.
+    fallbacks.clear();
+    fallbacks.reserve(std::size_t(n));
+    NameTable taken;
+    for (NodeId id = 0; id < n; ++id) {
+        if (!renamed[std::size_t(id)])
             continue;
         std::string fallback = "n" + std::to_string(id);
-        while (used.count(fallback))
+        for (;;) {
+            const int owner = first.find(fallback);
+            const bool keptName =
+                owner >= 0 && !renamed[std::size_t(owner)];
+            if (!keptName && taken.find(fallback) < 0)
+                break;
             fallback += "_";
-        used.insert(fallback);
-        ids[std::size_t(id)] = fallback;
-        renamed[std::size_t(id)] = true;
+        }
+        fallbacks.push_back(std::move(fallback));
+        taken.insert(fallbacks.back(), id);
+        ids[std::size_t(id)] = fallbacks.back();
     }
     return ids;
 }
 
 void
-dumpLoop(std::ostream &os, const LoopSpec &loop, std::size_t index,
+dumpLoop(Out &os, const LoopSpec &loop, std::size_t index,
          const std::vector<std::string> &symbolIds)
 {
-    os << "  loop "
-       << (usableId(loop.name) ? loop.name
-                               : "loop" + std::to_string(index))
-       << " trip " << loop.avgIterations;
+    os << "  loop ";
+    if (usableId(loop.name))
+        os << loop.name;
+    else
+        os << "loop" << std::int64_t(index);
+    os << " trip " << loop.avgIterations;
     if (loop.invocations != 2)
         os << " invocations " << loop.invocations;
     os << " {\n";
 
     std::vector<bool> renamed;
-    const std::vector<std::string> ids =
-        nodeIds(loop.body, renamed);
+    std::vector<std::string> fallbacks;
+    const std::vector<std::string_view> ids =
+        nodeIds(loop.body, renamed, fallbacks);
     for (NodeId id = 0; id < loop.body.numNodes(); ++id) {
         const DdgNode &node = loop.body.node(id);
         os << "    " << ids[std::size_t(id)] << " = "
@@ -216,15 +276,19 @@ dumpLoop(std::ostream &os, const LoopSpec &loop, std::size_t index,
 std::string
 dumpWorkloadText(const BenchmarkSpec &spec)
 {
-    std::ostringstream os;
+    std::string text;
+    Out os(text);
     os << "benchmark "
-       << (usableId(spec.name) ? spec.name : "bench") << " {\n";
+       << (usableId(spec.name) ? std::string_view(spec.name)
+                               : std::string_view("bench"))
+       << " {\n";
     if (spec.mainDataSize != 4 || spec.mainDataShare != 1.0) {
         os << "  maindata size " << spec.mainDataSize << " share "
            << formatDouble(spec.mainDataShare) << '\n';
     }
     std::vector<std::string> symbolIds;
-    std::set<std::string> used;
+    symbolIds.reserve(spec.symbols.size());
+    std::unordered_set<std::string> used;
     for (std::size_t i = 0; i < spec.symbols.size(); ++i) {
         const SymbolSpec &sym = spec.symbols[i];
         std::string id = usableId(sym.name) && !used.count(sym.name)
@@ -233,18 +297,18 @@ dumpWorkloadText(const BenchmarkSpec &spec)
         while (used.count(id))
             id += "_";
         used.insert(id);
-        symbolIds.push_back(id);
         os << "  symbol " << id << " size " << sym.sizeBytes;
         if (sym.storage == SymbolSpec::Storage::Stack)
             os << " storage stack";
         else if (sym.storage == SymbolSpec::Storage::Heap)
             os << " storage heap";
         os << '\n';
+        symbolIds.push_back(std::move(id));
     }
     for (std::size_t i = 0; i < spec.loops.size(); ++i)
         dumpLoop(os, spec.loops[i], i, symbolIds);
     os << "}\n";
-    return os.str();
+    return text;
 }
 
 std::string
