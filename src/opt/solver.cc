@@ -66,12 +66,19 @@ struct PendingCopy
     int need;
 };
 
-/** A register-flow arc with its producer's latency resolved. */
-struct RegArc
+/**
+ * A register-flow arc to a neighbour already placed when dfs()
+ * enters a depth, resolved for every (cycle, cluster) tried there.
+ */
+struct PlacedArc
 {
     NodeId other;
-    int distance;
-    int producerLatency;
+    int cluster;
+    /** In-arc: producer cycle + latency. Out-arc: consumer cycle +
+     *  II * distance, the cycle the value is needed by. */
+    int cycle;
+    /** In-arc: II * distance. Out-arc: unused. */
+    int shift;
 };
 
 /**
@@ -104,7 +111,7 @@ class ExactSearch
         fuKind_.resize(std::size_t(n_));
         for (NodeId v = 0; v < n_; ++v)
             fuKind_[std::size_t(v)] = fuForOp(ddg.node(v).kind);
-        buildRegArcs();
+        regFlow_.build(ddg);
         stride_ = (std::size_t(n_) + kLanes - 1) / kLanes * kLanes;
         dist_.assign(std::size_t(n_) * stride_, kNeg);
         fwdAt_.assign(std::size_t(n_) * stride_, kNeg);
@@ -117,6 +124,8 @@ class ExactSearch
         chainCluster_.assign(
             chains_ ? std::size_t(chains_->numChains()) : 0, -1);
         pending_.resize(std::size_t(n_));
+        placedIn_.resize(std::size_t(n_));
+        placedOut_.resize(std::size_t(n_));
         order_.resize(std::size_t(n_));
         if (budget_.maxMillis > 0)
             deadline_ = std::chrono::steady_clock::now() +
@@ -271,36 +280,6 @@ class ExactSearch
         }
     }
 
-    /**
-     * Register-flow arcs per node, in SchedGraph order: in-arcs
-     * carry their producer's latency, out-arcs the node's own.
-     */
-    void
-    buildRegArcs()
-    {
-        const std::size_t n = std::size_t(n_);
-        regInOff_.assign(n + 1, 0);
-        regOutOff_.assign(n + 1, 0);
-        for (NodeId v = 0; v < n_; ++v) {
-            for (auto i = graph_.inOff[std::size_t(v)];
-                 i < graph_.inOff[std::size_t(v) + 1]; ++i) {
-                const SchedGraph::Arc &a = graph_.in[std::size_t(i)];
-                if (a.regFlow)
-                    regIn_.push_back(
-                        RegArc{a.other, a.distance, lat_(a.other)});
-            }
-            regInOff_[std::size_t(v) + 1] = int(regIn_.size());
-            for (auto i = graph_.outOff[std::size_t(v)];
-                 i < graph_.outOff[std::size_t(v) + 1]; ++i) {
-                const SchedGraph::Arc &a = graph_.out[std::size_t(i)];
-                if (a.regFlow)
-                    regOut_.push_back(
-                        RegArc{a.other, a.distance, lat_(v)});
-            }
-            regOutOff_[std::size_t(v) + 1] = int(regOut_.size());
-        }
-    }
-
     /** Count one search node; false when the budget is spent. */
     bool
     tick()
@@ -371,6 +350,7 @@ class ExactSearch
         const int chain = chainIdOf_[std::size_t(v)];
         const int pinned =
             chain >= 0 ? chainCluster_[std::size_t(chain)] : -1;
+        gatherPlacedArcs(idx, v);
 
         int row = mrt_.row(lb);
         for (int t = lb; t <= ub; ++t) {
@@ -395,6 +375,41 @@ class ExactSearch
     }
 
     /**
+     * The register-flow arcs of @p v whose other end is placed, in
+     * arc order (in-arcs, then out-arcs). Unplaced neighbours have
+     * cluster -1 and never need a copy yet, and no neighbour moves
+     * while dfs() tries the placements of depth @p idx.
+     */
+    void
+    gatherPlacedArcs(int idx, NodeId v)
+    {
+        auto &in = placedIn_[std::size_t(idx)];
+        auto &out = placedOut_[std::size_t(idx)];
+        in.clear();
+        out.clear();
+        for (int i = regFlow_.inOff[std::size_t(v)];
+             i < regFlow_.inOff[std::size_t(v) + 1]; ++i) {
+            const RegFlowCsr::Arc &a = regFlow_.in[std::size_t(i)];
+            const int uc = cluster_[std::size_t(a.other)];
+            if (uc >= 0)
+                in.push_back(PlacedArc{
+                    a.other, uc,
+                    cycle_[std::size_t(a.other)] + lat_(a.other),
+                    ii_ * a.distance});
+        }
+        for (int i = regFlow_.outOff[std::size_t(v)];
+             i < regFlow_.outOff[std::size_t(v) + 1]; ++i) {
+            const RegFlowCsr::Arc &a = regFlow_.out[std::size_t(i)];
+            const int sc = cluster_[std::size_t(a.other)];
+            if (sc >= 0)
+                out.push_back(PlacedArc{
+                    a.other, sc,
+                    cycle_[std::size_t(a.other)] + ii_ * a.distance,
+                    0});
+        }
+    }
+
+    /**
      * Attempt (cycle @p t, cluster @p c) for @p v, where @p row is
      * t's modulo row: FU slot, copy requirements against placed
      * neighbours, then the rest of the tree. Undone completely on
@@ -410,21 +425,16 @@ class ExactSearch
         }
 
         // Gather the transfers this placement requires; reject when
-        // an already-committed copy arrives too late. Unplaced
-        // neighbours have cluster -1 and never need a copy yet.
+        // an already-committed copy arrives too late.
         auto &pend = pending_[std::size_t(idx)];
         pend.clear();
-        const RegArc *in = regIn_.data();
-        for (int i = regInOff_[std::size_t(v)];
-             i < regInOff_[std::size_t(v) + 1]; ++i) {
-            const RegArc &a = in[i];
-            const std::size_t u = std::size_t(a.other);
-            const int uc = cluster_[u];
-            if (uc < 0 || uc == c)
+        for (const PlacedArc &a : placedIn_[std::size_t(idx)]) {
+            if (a.cluster == c)
                 continue;
-            const int need = t + ii_ * a.distance;
+            const int need = t + a.shift;
             const int committed =
-                copyStart_[u * std::size_t(numClusters_) +
+                copyStart_[std::size_t(a.other) *
+                               std::size_t(numClusters_) +
                            std::size_t(c)];
             if (committed != INT_MIN) {
                 if (committed + busLat_ > need) {
@@ -433,19 +443,12 @@ class ExactSearch
                 }
                 continue;
             }
-            mergePending(pend, a.other, c,
-                         cycle_[u] + a.producerLatency, need);
+            mergePending(pend, a.other, c, a.cycle, need);
         }
-        const RegArc *out = regOut_.data();
-        for (int i = regOutOff_[std::size_t(v)];
-             i < regOutOff_[std::size_t(v) + 1]; ++i) {
-            const RegArc &a = out[i];
-            const std::size_t s = std::size_t(a.other);
-            const int sc = cluster_[s];
-            if (sc < 0 || sc == c)
-                continue;
-            const int need = cycle_[s] + ii_ * a.distance;
-            mergePending(pend, v, sc, t + a.producerLatency, need);
+        const int valueAt = t + lat_(v);
+        for (const PlacedArc &a : placedOut_[std::size_t(idx)]) {
+            if (a.cluster != c)
+                mergePending(pend, v, a.cluster, valueAt, a.cycle);
         }
         for (const PendingCopy &pc : pend) {
             if (pc.valueAt + busLat_ > pc.need) {
@@ -613,10 +616,7 @@ class ExactSearch
     std::optional<MemChains> chains_;
     std::vector<int> chainIdOf_;
     std::vector<FuKind> fuKind_;
-    std::vector<int> regInOff_;
-    std::vector<RegArc> regIn_;
-    std::vector<int> regOutOff_;
-    std::vector<RegArc> regOut_;
+    RegFlowCsr regFlow_;
 
     int ii_ = 0;
     int horizon_ = 0;
@@ -638,6 +638,9 @@ class ExactSearch
     std::vector<int> copyStart_;
     std::vector<int> chainCluster_;
     std::vector<std::vector<PendingCopy>> pending_;
+    /** Per depth: the arcs gatherPlacedArcs() found placed. */
+    std::vector<std::vector<PlacedArc>> placedIn_;
+    std::vector<std::vector<PlacedArc>> placedOut_;
     int openClusters_ = 0;
     int minCycle_ = 0;
     int maxCycle_ = 0;

@@ -85,10 +85,14 @@ Mrt::firstFreeBusStart(int first, int last) const
 void
 Mrt::reserveBus(int cycle)
 {
-    vliw_assert(busFree(cycle), "bus over-reserved");
+    // The same checks as busFree(), made while booking: a failure
+    // is a caller bug, and the panic abandons the table.
+    vliw_assert(cfg_->regBusOccupancy <= ii_, "bus over-reserved");
     int r = row(cycle);
     for (int j = 0; j < cfg_->regBusOccupancy; ++j) {
-        busUse_[std::size_t(r)] += 1;
+        int &use = busUse_[std::size_t(r)];
+        vliw_assert(use < cfg_->regBuses, "bus over-reserved");
+        ++use;
         if (++r == ii_)
             r = 0;
     }
