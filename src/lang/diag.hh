@@ -48,6 +48,9 @@ struct Diag
 std::string renderDiag(const Diag &diag, std::string_view source,
                        std::string_view origin);
 
+/** @p word in single quotes, as diagnostics cite source text. */
+std::string quoted(std::string_view word);
+
 } // namespace vliw::lang
 
 #endif // WIVLIW_LANG_DIAG_HH

@@ -67,6 +67,17 @@ renderDiag(const Diag &diag, std::string_view source,
     return os.str();
 }
 
+std::string
+quoted(std::string_view word)
+{
+    std::string out;
+    out.reserve(word.size() + 2);
+    out += '\'';
+    out += word;
+    out += '\'';
+    return out;
+}
+
 std::optional<Diag>
 tokenize(std::string_view source, std::vector<Token> &out)
 {

@@ -54,18 +54,6 @@ tableNames(const Table &table)
     return names;
 }
 
-/** "'" + word + "'" */
-std::string
-quoted(std::string_view word)
-{
-    std::string out;
-    out.reserve(word.size() + 2);
-    out += '\'';
-    out += word;
-    out += '\'';
-    return out;
-}
-
 /** @p msg plus " (did you mean 'X'?)" when a candidate is close. */
 void
 appendHint(std::string &msg, std::string_view given,

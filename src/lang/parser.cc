@@ -26,18 +26,6 @@ isAttrKeyword(std::string_view word)
     return false;
 }
 
-/** "'" + word + "'" */
-std::string
-quotedWord(std::string_view word)
-{
-    std::string out;
-    out.reserve(word.size() + 2);
-    out += '\'';
-    out += word;
-    out += '\'';
-    return out;
-}
-
 class Parser
 {
   public:
@@ -99,7 +87,7 @@ class Parser
     {
         switch (t.kind) {
         case Token::Kind::Word:
-            return quotedWord(t.text);
+            return quoted(t.text);
         case Token::Kind::String:
             return "string \"" + unescape(t.text) + "\"";
         case Token::Kind::LBrace:
@@ -189,12 +177,12 @@ class Parser
             std::from_chars(text.data(), text.data() + text.size(), v);
         if (ec == std::errc::result_out_of_range)
             return fail(cur().pos,
-                        std::string(what) + " " + quotedWord(text) +
+                        std::string(what) + " " + quoted(text) +
                             " is out of range");
         if (ec != std::errc() || end != text.data() + text.size())
             return fail(cur().pos, std::string("expected ") + what +
                                        " (an integer), got " +
-                                       quotedWord(text));
+                                       quoted(text));
         value = v;
         pos = cur().pos;
         advance();
@@ -241,7 +229,7 @@ class Parser
             if (cur().kind == Token::Kind::End)
                 return fail(cur().pos,
                             "unclosed benchmark " +
-                                quotedWord(bench.name) +
+                                quoted(bench.name) +
                                 " (missing '}')");
             if (cur().kind != Token::Kind::Word)
                 return fail(cur().pos,
@@ -354,7 +342,7 @@ class Parser
         while (cur().kind != Token::Kind::RBrace) {
             if (cur().kind == Token::Kind::End)
                 return fail(cur().pos, "unclosed loop " +
-                                           quotedWord(loop.name) +
+                                           quoted(loop.name) +
                                            " (missing '}')");
             if (!parseLoopStmt(loop.stmts.emplace_back()))
                 return false;
@@ -536,7 +524,7 @@ class Parser
             return ref("store value op", op.value);
         }
         return fail(attr.pos,
-                    "unknown op attribute " + quotedWord(attr.text));
+                    "unknown op attribute " + quoted(attr.text));
     }
 
     std::vector<Token> toks_;
