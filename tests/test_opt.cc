@@ -33,6 +33,7 @@
 #include "sched/schedule.hh"
 #include "support/errors.hh"
 #include "util_random_ddg.hh"
+#include "util_schedule_digest.hh"
 
 namespace vliw {
 namespace {
@@ -352,48 +353,6 @@ TEST(GapReport, CsvAndJsonCarryTheGapColumns)
 #define WIVLIW_GOLDEN_DIR "tests/golden"
 #endif
 
-/** FNV-1a over every field that defines a schedule bit for bit. */
-std::uint64_t
-digestSchedule(const Schedule &s)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    auto add = [&](std::int64_t v) {
-        for (int byte = 0; byte < 8; ++byte) {
-            hash ^= std::uint64_t(v >> (byte * 8)) & 0xffu;
-            hash *= 0x100000001b3ull;
-        }
-    };
-    add(s.ii);
-    add(s.length);
-    add(s.stageCount);
-    for (const PlacedOp &op : s.ops) {
-        add(op.cycle);
-        add(op.cluster);
-    }
-    for (const CopyOp &c : s.copies) {
-        add(c.producer);
-        add(c.fromCluster);
-        add(c.toCluster);
-        add(c.busStart);
-        add(c.readyCycle);
-    }
-    return hash;
-}
-
-LatencyScheme
-schemeFor(const MachineConfig &cfg)
-{
-    switch (cfg.cacheOrg) {
-      case CacheOrg::Interleaved:
-        return LatencyScheme::fourClass(cfg);
-      case CacheOrg::Unified:
-        return LatencyScheme::twoClassUnified(cfg);
-      case CacheOrg::MultiVliw:
-        return LatencyScheme::twoClassCoherent(cfg);
-    }
-    throw std::logic_error("unknown cache organisation");
-}
-
 /**
  * One golden line per (random loop, arch, node budget): the solver's
  * status, II, lower bound, search counters and a digest of the
@@ -415,7 +374,8 @@ renderSolverRuns()
                 std::uint64_t(seed), cfg.numClusters, ropts);
             const auto circuits = findCircuits(loop.ddg);
             const LatencyAssignment lat = assignLatencies(
-                loop.ddg, circuits, loop.profile, schemeFor(cfg), cfg);
+                loop.ddg, circuits, loop.profile,
+                testutil::schemeFor(cfg), cfg);
             const int mii = std::max(
                 lat.miiTarget,
                 computeMii(loop.ddg, circuits, lat.latencies, cfg));
@@ -439,7 +399,7 @@ renderSolverRuns()
                 char digest[17];
                 std::snprintf(digest, sizeof(digest), "%016llx",
                               static_cast<unsigned long long>(
-                                  digestSchedule(out.schedule)));
+                                  testutil::digestSchedule(out.schedule)));
                 os << arch << " seed=" << seed
                    << " n=" << loop.ddg.numNodes() << " budget=n"
                    << nodes << " mii=" << mii

@@ -24,10 +24,13 @@
 #include "api/registries.hh"
 #include "core/toolchain.hh"
 #include "engine/worker_pool.hh"
+#include "util_schedule_digest.hh"
 #include "workloads/mediabench.hh"
 
 namespace vliw {
 namespace {
+
+using testutil::digestSchedule;
 
 #ifndef WIVLIW_GOLDEN_DIR
 #define WIVLIW_GOLDEN_DIR "tests/golden"
@@ -35,46 +38,6 @@ namespace {
 
 constexpr const char *kGoldenPath =
     WIVLIW_GOLDEN_DIR "/schedule_equivalence.txt";
-
-/** FNV-1a over every field that defines a schedule bit-for-bit. */
-class ScheduleDigest
-{
-  public:
-    void
-    add(std::int64_t v)
-    {
-        for (int byte = 0; byte < 8; ++byte) {
-            hash_ ^= std::uint64_t(v >> (byte * 8)) & 0xffu;
-            hash_ *= 0x100000001b3ull;
-        }
-    }
-
-    std::uint64_t value() const { return hash_; }
-
-  private:
-    std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
-std::uint64_t
-digestSchedule(const Schedule &s)
-{
-    ScheduleDigest d;
-    d.add(s.ii);
-    d.add(s.length);
-    d.add(s.stageCount);
-    for (const PlacedOp &op : s.ops) {
-        d.add(op.cycle);
-        d.add(op.cluster);
-    }
-    for (const CopyOp &c : s.copies) {
-        d.add(c.producer);
-        d.add(c.fromCluster);
-        d.add(c.toCluster);
-        d.add(c.busStart);
-        d.add(c.readyCycle);
-    }
-    return d.value();
-}
 
 struct GridCell
 {

@@ -31,6 +31,7 @@ namespace vliw {
 namespace {
 
 using testutil::makeRandomLoop;
+using testutil::schemeFor;
 using testutil::referenceSimulate;
 
 constexpr int kLoops = 50;
@@ -43,20 +44,6 @@ MachineConfig
 archConfig(const std::string &arch)
 {
     return api::builtinRegistries().archs.resolve(arch).value();
-}
-
-LatencyScheme
-schemeFor(const MachineConfig &cfg)
-{
-    switch (cfg.cacheOrg) {
-      case CacheOrg::Interleaved:
-        return LatencyScheme::fourClass(cfg);
-      case CacheOrg::Unified:
-        return LatencyScheme::twoClassUnified(cfg);
-      case CacheOrg::MultiVliw:
-        return LatencyScheme::twoClassCoherent(cfg);
-    }
-    throw std::logic_error("unknown cache organisation");
 }
 
 /** Strided addresses per symbol, hashed ones for indirect ops;

@@ -11,10 +11,13 @@
 #ifndef WIVLIW_TESTS_UTIL_RANDOM_DDG_HH
 #define WIVLIW_TESTS_UTIL_RANDOM_DDG_HH
 
+#include <stdexcept>
 #include <vector>
 
 #include "ddg/ddg.hh"
 #include "ddg/profile_map.hh"
+#include "machine/machine_config.hh"
+#include "sched/lat_scheme.hh"
 #include "support/random.hh"
 
 namespace vliw::testutil {
@@ -127,6 +130,21 @@ makeRandomLoop(std::uint64_t seed, int num_clusters,
         p.localRatio = 0.7;
     }
     return out;
+}
+
+/** The latency scheme the toolchain uses for @p cfg's cache. */
+inline LatencyScheme
+schemeFor(const MachineConfig &cfg)
+{
+    switch (cfg.cacheOrg) {
+      case CacheOrg::Interleaved:
+        return LatencyScheme::fourClass(cfg);
+      case CacheOrg::Unified:
+        return LatencyScheme::twoClassUnified(cfg);
+      case CacheOrg::MultiVliw:
+        return LatencyScheme::twoClassCoherent(cfg);
+    }
+    throw std::logic_error("unknown cache organisation");
 }
 
 } // namespace vliw::testutil
