@@ -16,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -26,6 +25,7 @@
 #include "lang/diag.hh"
 #include "lang/lower.hh"
 #include "lang/writer.hh"
+#include "util_golden.hh"
 
 namespace {
 
@@ -520,29 +520,7 @@ TEST(WvlGolden, DumpsFingerprintsAndDiagnosticsMatchGolden)
 {
     const std::string path =
         std::string(WIVLIW_GOLDEN_DIR) + "/wvl_ingest.txt";
-    const std::string actual = renderIngestGolden();
-    if (std::getenv("WIVLIW_REGEN_GOLDEN")) {
-        std::ofstream out(path, std::ios::binary);
-        ASSERT_TRUE(out.good()) << "cannot write " << path;
-        out << actual;
-        GTEST_SKIP() << "golden file regenerated at " << path;
-    }
-    const std::string golden = readFile(path);
-    ASSERT_FALSE(golden.empty())
-        << "missing golden file " << path
-        << "; regenerate with WIVLIW_REGEN_GOLDEN=1";
-    std::istringstream want_lines(golden);
-    std::istringstream got_lines(actual);
-    std::string want, got;
-    int line = 0;
-    while (std::getline(want_lines, want)) {
-        ++line;
-        ASSERT_TRUE(std::getline(got_lines, got))
-            << "output truncated at golden line " << line;
-        ASSERT_EQ(got, want) << "first divergence at line " << line;
-    }
-    EXPECT_FALSE(std::getline(got_lines, got))
-        << "extra output after golden ended: " << got;
+    vliw::testutil::expectMatchesGolden(path, renderIngestGolden());
 }
 
 } // namespace

@@ -15,8 +15,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -32,6 +30,7 @@
 #include "sched/latency_assign.hh"
 #include "sched/schedule.hh"
 #include "support/errors.hh"
+#include "util_golden.hh"
 #include "util_random_ddg.hh"
 #include "util_schedule_digest.hh"
 
@@ -422,30 +421,7 @@ TEST(SolverEquivalence, RandomLoopsMatchGolden)
 {
     const std::string path =
         std::string(WIVLIW_GOLDEN_DIR) + "/solver_equivalence.txt";
-    const std::string actual = renderSolverRuns();
-    if (std::getenv("WIVLIW_REGEN_GOLDEN")) {
-        std::ofstream out(path);
-        ASSERT_TRUE(out.good()) << "cannot write " << path;
-        out << actual;
-        GTEST_SKIP() << "golden file regenerated at " << path;
-    }
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "missing golden file " << path
-                           << "; regenerate with WIVLIW_REGEN_GOLDEN=1";
-    std::stringstream golden;
-    golden << in.rdbuf();
-    std::istringstream want_lines(golden.str());
-    std::istringstream got_lines(actual);
-    std::string want, got;
-    int line = 0;
-    while (std::getline(want_lines, want)) {
-        ++line;
-        ASSERT_TRUE(std::getline(got_lines, got))
-            << "output truncated at golden line " << line;
-        ASSERT_EQ(got, want) << "first divergence at line " << line;
-    }
-    EXPECT_FALSE(std::getline(got_lines, got))
-        << "extra output after golden ended: " << got;
+    testutil::expectMatchesGolden(path, renderSolverRuns());
 }
 
 } // namespace

@@ -18,8 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +25,7 @@
 #include "api/registries.hh"
 #include "core/toolchain.hh"
 #include "engine/worker_pool.hh"
+#include "util_golden.hh"
 #include "workloads/mediabench.hh"
 
 namespace vliw {
@@ -113,36 +112,7 @@ renderGrid()
 
 TEST(SimEquivalence, FullGridMatchesGolden)
 {
-    const std::string actual = renderGrid();
-
-    if (std::getenv("WIVLIW_REGEN_GOLDEN")) {
-        std::ofstream out(kGoldenPath);
-        ASSERT_TRUE(out.good())
-            << "cannot write golden file " << kGoldenPath;
-        out << actual;
-        GTEST_SKIP() << "golden file regenerated at " << kGoldenPath;
-    }
-
-    std::ifstream in(kGoldenPath);
-    ASSERT_TRUE(in.good())
-        << "missing golden file " << kGoldenPath
-        << "; regenerate with WIVLIW_REGEN_GOLDEN=1";
-    std::stringstream golden;
-    golden << in.rdbuf();
-
-    std::istringstream golden_lines(golden.str());
-    std::istringstream actual_lines(actual);
-    std::string want, got;
-    int line = 0;
-    while (std::getline(golden_lines, want)) {
-        ++line;
-        ASSERT_TRUE(std::getline(actual_lines, got))
-            << "output truncated at golden line " << line << ": "
-            << want;
-        ASSERT_EQ(got, want) << "first divergence at line " << line;
-    }
-    EXPECT_FALSE(std::getline(actual_lines, got))
-        << "extra output after golden ended: " << got;
+    testutil::expectMatchesGolden(kGoldenPath, renderGrid());
 }
 
 } // namespace
