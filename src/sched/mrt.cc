@@ -16,13 +16,14 @@ void
 Mrt::reset(const MachineConfig &cfg, int ii)
 {
     vliw_assert(ii >= 1, "II must be positive");
-    cfg_ = &cfg;
     ii_ = ii;
     numClusters_ = cfg.numClusters;
     capacity_[std::size_t(FuKind::Int)] = cfg.intUnitsPerCluster;
     capacity_[std::size_t(FuKind::Fp)] = cfg.fpUnitsPerCluster;
     capacity_[std::size_t(FuKind::Mem)] = cfg.memUnitsPerCluster;
     capacity_[std::size_t(FuKind::Bus)] = 0;
+    busOccupancy_ = cfg.regBusOccupancy;
+    buses_ = cfg.regBuses;
     fuUse_.assign(std::size_t(ii) * std::size_t(cfg.numClusters) *
                   kNumFuKinds, 0);
     busUse_.assign(std::size_t(ii), 0);
@@ -36,81 +37,17 @@ Mrt::clusterLoad(int cluster) const
     return clusterLoad_[std::size_t(cluster)];
 }
 
-bool
-Mrt::busFree(int cycle) const
-{
-    if (cfg_->regBusOccupancy > ii_) {
-        // A transfer would overlap itself in the kernel; no steady-
-        // state slot exists at this II.
-        return false;
-    }
-    int r = row(cycle);
-    for (int j = 0; j < cfg_->regBusOccupancy; ++j) {
-        if (busUse_[std::size_t(r)] >= cfg_->regBuses)
-            return false;
-        if (++r == ii_)
-            r = 0;
-    }
-    return true;
-}
-
 int
 Mrt::firstFreeBusStart(int first, int last) const
 {
-    if (cfg_->regBusOccupancy > ii_) {
-        // A transfer would overlap itself in the kernel; no steady-
-        // state slot exists at this II.
-        return std::numeric_limits<int>::min();
-    }
     int r = row(first);
     for (int start = first; start <= last; ++start) {
-        bool free = true;
-        int probe = r;
-        for (int j = 0; j < cfg_->regBusOccupancy; ++j) {
-            if (busUse_[std::size_t(probe)] >= cfg_->regBuses) {
-                free = false;
-                break;
-            }
-            if (++probe == ii_)
-                probe = 0;
-        }
-        if (free)
+        if (busFreeAtRow(r))
             return start;
         if (++r == ii_)
             r = 0;
     }
     return std::numeric_limits<int>::min();
-}
-
-void
-Mrt::reserveBus(int cycle)
-{
-    // The same checks as busFree(), made while booking: a failure
-    // is a caller bug, and the panic abandons the table.
-    vliw_assert(cfg_->regBusOccupancy <= ii_, "bus over-reserved");
-    int r = row(cycle);
-    for (int j = 0; j < cfg_->regBusOccupancy; ++j) {
-        int &use = busUse_[std::size_t(r)];
-        vliw_assert(use < cfg_->regBuses, "bus over-reserved");
-        ++use;
-        if (++r == ii_)
-            r = 0;
-    }
-    ++busTransfers_;
-}
-
-void
-Mrt::releaseBus(int cycle)
-{
-    int r = row(cycle);
-    for (int j = 0; j < cfg_->regBusOccupancy; ++j) {
-        int &use = busUse_[std::size_t(r)];
-        vliw_assert(use > 0, "bus release without reservation");
-        --use;
-        if (++r == ii_)
-            r = 0;
-    }
-    --busTransfers_;
 }
 
 } // namespace vliw

@@ -92,9 +92,54 @@ class Mrt
     int clusterLoad(int cluster) const;
 
     /** A register bus free for a transfer starting at @p cycle? */
-    bool busFree(int cycle) const;
-    void reserveBus(int cycle);
-    void releaseBus(int cycle);
+    bool busFree(int cycle) const { return busFreeAtRow(row(cycle)); }
+    void reserveBus(int cycle) { reserveBusAtRow(row(cycle)); }
+    void releaseBus(int cycle) { releaseBusAtRow(row(cycle)); }
+
+    /** The same three for a transfer whose first row is @p r. */
+    bool
+    busFreeAtRow(int r) const
+    {
+        if (busOccupancy_ > ii_) {
+            // A transfer would overlap itself in the kernel; no
+            // steady-state slot exists at this II.
+            return false;
+        }
+        for (int j = 0; j < busOccupancy_; ++j) {
+            if (busUse_[std::size_t(r)] >= buses_)
+                return false;
+            if (++r == ii_)
+                r = 0;
+        }
+        return true;
+    }
+    void
+    reserveBusAtRow(int r)
+    {
+        // busFreeAtRow()'s checks, made while booking: a failure is
+        // a caller bug, and the panic abandons the table.
+        vliw_assert(busOccupancy_ <= ii_, "bus over-reserved");
+        for (int j = 0; j < busOccupancy_; ++j) {
+            int &use = busUse_[std::size_t(r)];
+            vliw_assert(use < buses_, "bus over-reserved");
+            ++use;
+            if (++r == ii_)
+                r = 0;
+        }
+        ++busTransfers_;
+    }
+    void
+    releaseBusAtRow(int r)
+    {
+        for (int j = 0; j < busOccupancy_; ++j) {
+            int &use = busUse_[std::size_t(r)];
+            vliw_assert(use > 0, "bus release without reservation");
+            --use;
+            if (++r == ii_)
+                r = 0;
+        }
+        --busTransfers_;
+    }
 
     /**
      * First start in [first, last] (inclusive) with a free bus, or
@@ -123,11 +168,13 @@ class Mrt
             std::size_t(kind);
     }
 
-    const MachineConfig *cfg_ = nullptr;
     int ii_ = 0;
     int numClusters_ = 0;
     /** Units per cluster of each FU kind, cached at reset(). */
     int capacity_[kNumFuKinds] = {};
+    /** Rows one bus transfer occupies, and buses per row. */
+    int busOccupancy_ = 0;
+    int buses_ = 0;
     /** [row][cluster][kind] booked count. */
     std::vector<int> fuUse_;
     /** [row] number of buses occupied. */
