@@ -521,27 +521,22 @@ class ExactSearch
         const std::size_t slot =
             std::size_t(pc.producer) * std::size_t(numClusters_) +
             std::size_t(pc.toCluster);
-        bool anyFree = false;
-        int row = mrt_.row(pc.valueAt);
-        for (int s = pc.valueAt; s <= last; ++s) {
-            if (mrt_.busFreeAtRow(row)) {
-                anyFree = true;
-                if (!tick())
-                    return false;
-                mrt_.reserveBusAtRow(row);
-                copyStart_[slot] = s;
-                if (scheduleCopies(idx, k + 1))
-                    return true;
-                copyStart_[slot] = INT_MIN;
-                mrt_.releaseBusAtRow(row);
-                if (exhausted_)
-                    return false;
-            }
-            if (++row == ii_)
-                row = 0;
-        }
-        if (!anyFree)
+        int s = mrt_.firstFreeBusStart(pc.valueAt, last);
+        if (s == INT_MIN)
             ++prunes_;
+        while (s != INT_MIN) {
+            if (!tick())
+                return false;
+            mrt_.reserveBus(s);
+            copyStart_[slot] = s;
+            if (scheduleCopies(idx, k + 1))
+                return true;
+            copyStart_[slot] = INT_MIN;
+            mrt_.releaseBus(s);
+            if (exhausted_ || s >= last)
+                return false;
+            s = mrt_.firstFreeBusStart(s + 1, last);
+        }
         return false;
     }
 

@@ -21,7 +21,6 @@ Mrt::reset(const MachineConfig &cfg, int ii)
     capacity_[std::size_t(FuKind::Int)] = cfg.intUnitsPerCluster;
     capacity_[std::size_t(FuKind::Fp)] = cfg.fpUnitsPerCluster;
     capacity_[std::size_t(FuKind::Mem)] = cfg.memUnitsPerCluster;
-    capacity_[std::size_t(FuKind::Bus)] = 0;
     busOccupancy_ = cfg.regBusOccupancy;
     buses_ = cfg.regBuses;
     fuUse_.assign(std::size_t(ii) * std::size_t(cfg.numClusters) *

@@ -67,8 +67,8 @@ class Mrt
     bool
     fuFreeAtRow(int cluster, FuKind kind, int r) const
     {
-        return fuUse_[slot(cluster, kind, r)] <
-            capacity_[std::size_t(kind)];
+        const std::size_t s = slot(cluster, kind, r);
+        return fuUse_[s] < capacity_[std::size_t(kind)];
     }
     void
     reserveFuAtRow(int cluster, FuKind kind, int r)
@@ -93,32 +93,14 @@ class Mrt
 
     /** A register bus free for a transfer starting at @p cycle? */
     bool busFree(int cycle) const { return busFreeAtRow(row(cycle)); }
-    void reserveBus(int cycle) { reserveBusAtRow(row(cycle)); }
-    void releaseBus(int cycle) { releaseBusAtRow(row(cycle)); }
 
-    /** The same three for a transfer whose first row is @p r. */
-    bool
-    busFreeAtRow(int r) const
-    {
-        if (busOccupancy_ > ii_) {
-            // A transfer would overlap itself in the kernel; no
-            // steady-state slot exists at this II.
-            return false;
-        }
-        for (int j = 0; j < busOccupancy_; ++j) {
-            if (busUse_[std::size_t(r)] >= buses_)
-                return false;
-            if (++r == ii_)
-                r = 0;
-        }
-        return true;
-    }
     void
-    reserveBusAtRow(int r)
+    reserveBus(int cycle)
     {
-        // busFreeAtRow()'s checks, made while booking: a failure is
-        // a caller bug, and the panic abandons the table.
+        // busFree()'s checks, made while booking: a failure is a
+        // caller bug, and the panic abandons the table.
         vliw_assert(busOccupancy_ <= ii_, "bus over-reserved");
+        int r = row(cycle);
         for (int j = 0; j < busOccupancy_; ++j) {
             int &use = busUse_[std::size_t(r)];
             vliw_assert(use < buses_, "bus over-reserved");
@@ -128,9 +110,11 @@ class Mrt
         }
         ++busTransfers_;
     }
+
     void
-    releaseBusAtRow(int r)
+    releaseBus(int cycle)
     {
+        int r = row(cycle);
         for (int j = 0; j < busOccupancy_; ++j) {
             int &use = busUse_[std::size_t(r)];
             vliw_assert(use > 0, "bus release without reservation");
@@ -153,16 +137,32 @@ class Mrt
     int busTransfers() const { return busTransfers_; }
 
   private:
-    /**
-     * Slots per (row, cluster), one per FuKind. Bus transfers are
-     * booked in busUse_, so the Bus slot has capacity 0: it is
-     * never free and reserving it fails the over-reservation check.
-     */
-    static constexpr int kNumFuKinds = 4;
+    /** busFree() for a transfer whose first row is @p r. */
+    bool
+    busFreeAtRow(int r) const
+    {
+        if (busOccupancy_ > ii_) {
+            // A transfer would overlap itself in the kernel; no
+            // steady-state slot exists at this II.
+            return false;
+        }
+        for (int j = 0; j < busOccupancy_; ++j) {
+            if (busUse_[std::size_t(r)] >= buses_)
+                return false;
+            if (++r == ii_)
+                r = 0;
+        }
+        return true;
+    }
+
+    /** Slots per (row, cluster): Int, Fp, Mem (Bus kept apart). */
+    static constexpr int kNumFuKinds = 3;
 
     std::size_t
     slot(int cluster, FuKind kind, int r) const
     {
+        if (kind == FuKind::Bus)
+            vliw_panic("bus slots are not FU slots");
         return (std::size_t(r) * std::size_t(numClusters_) +
                 std::size_t(cluster)) * kNumFuKinds +
             std::size_t(kind);

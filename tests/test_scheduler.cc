@@ -69,6 +69,18 @@ TEST(Mrt, BusImpossibleWhenOccupancyExceedsIi)
     EXPECT_FALSE(mrt.busFree(0));
 }
 
+TEST(Mrt, BusKindIsNotAnFuSlot)
+{
+    // Bus transfers book through reserveBus(); asking for a Bus FU
+    // is a caller bug and must stop the run, not read as "full".
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    Mrt mrt(cfg, 4);
+    EXPECT_THROW(mrt.fuFree(0, FuKind::Bus, 1), std::logic_error);
+    EXPECT_THROW(mrt.reserveFu(0, FuKind::Bus, 1), std::logic_error);
+    EXPECT_THROW(mrt.fuFreeAtRow(0, FuKind::Bus, 1), std::logic_error);
+    EXPECT_EQ(mrt.clusterLoad(0), 0);
+}
+
 class SchedulerPaperTest : public ::testing::Test
 {
   protected:
