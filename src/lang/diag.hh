@@ -49,7 +49,7 @@ std::string renderDiag(const Diag &diag, std::string_view source,
                        std::string_view origin);
 
 /** @p word in single quotes, as diagnostics cite source text. */
-std::string quoted(std::string_view word);
+std::string quoteWord(std::string_view word);
 
 } // namespace vliw::lang
 

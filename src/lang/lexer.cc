@@ -68,7 +68,7 @@ renderDiag(const Diag &diag, std::string_view source,
 }
 
 std::string
-quoted(std::string_view word)
+quoteWord(std::string_view word)
 {
     std::string out;
     out.reserve(word.size() + 2);
@@ -82,8 +82,6 @@ std::optional<Diag>
 tokenize(std::string_view source, std::vector<Token> &out)
 {
     out.clear();
-    // Typical .wvl text spends four to five bytes per token.
-    out.reserve(source.size() / 4 + 2);
     int line = 1;
     int col = 1;
     std::size_t i = 0;

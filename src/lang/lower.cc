@@ -84,7 +84,7 @@ class Lowerer
             if (!benchNames.insert(bench.name, 0))
                 return Diag{bench.namePos,
                             "duplicate benchmark name " +
-                                quoted(bench.name)};
+                                quoteWord(bench.name)};
             BenchmarkSpec spec;
             if (auto diag = lowerBenchmark(bench, spec))
                 return diag;
@@ -125,7 +125,7 @@ class Lowerer
         for (const AstSymbol &sym : bench.symbols) {
             if (symbolIds_.find(sym.name) >= 0)
                 return Diag{sym.namePos, "duplicate symbol name " +
-                                             quoted(sym.name)};
+                                             quoteWord(sym.name)};
             if (sym.size < 1 || sym.size > kMaxSymbolBytes)
                 return Diag{sym.sizePos,
                             "symbol size must be within [1, " +
@@ -142,7 +142,7 @@ class Lowerer
                 else
                     return Diag{sym.storagePos,
                                 "unknown storage class " +
-                                    quoted(sym.storage) +
+                                    quoteWord(sym.storage) +
                                     " (expected global, stack or "
                                     "heap)"};
             }
@@ -152,7 +152,7 @@ class Lowerer
         }
 
         if (bench.loops.empty())
-            return Diag{bench.pos, "benchmark " + quoted(bench.name) +
+            return Diag{bench.pos, "benchmark " + quoteWord(bench.name) +
                                        " defines no loop"};
         if (bench.loops.size() >
             static_cast<std::size_t>(kMaxLoopsPerBenchmark))
@@ -165,7 +165,7 @@ class Lowerer
         for (const AstLoop &loop : bench.loops) {
             if (!loopNames.insert(loop.name, 0))
                 return Diag{loop.namePos, "duplicate loop name " +
-                                              quoted(loop.name)};
+                                              quoteWord(loop.name)};
             LoopSpec lowered;
             if (auto diag = lowerLoop(loop, bench, lowered))
                 return diag;
@@ -211,14 +211,14 @@ class Lowerer
                 static_cast<std::size_t>(kMaxOpsPerLoop))
                 return Diag{stmt.op.pos,
                             "too many ops in loop " +
-                                quoted(loop.name) + " (max " +
+                                quoteWord(loop.name) + " (max " +
                                 std::to_string(kMaxOpsPerLoop) +
                                 ")"};
             if (auto diag = lowerOp(stmt.op, bench, out))
                 return diag;
         }
         if (opCount == 0)
-            return Diag{loop.pos, "loop " + quoted(loop.name) +
+            return Diag{loop.pos, "loop " + quoteWord(loop.name) +
                                       " has no ops"};
 
         // Pass 2: edges, in statement order (the DDG is
@@ -248,7 +248,7 @@ class Lowerer
     {
         if (nodeIds_.find(op.id) >= 0)
             return Diag{op.idPos,
-                        "duplicate op id " + quoted(op.id)};
+                        "duplicate op id " + quoteWord(op.id)};
         if (op.kind == "copy")
             return Diag{op.kindPos,
                         "'copy' is reserved for the scheduler's "
@@ -263,7 +263,7 @@ class Lowerer
             }
         }
         if (!known) {
-            std::string msg = "unknown op kind " + quoted(op.kind);
+            std::string msg = "unknown op kind " + quoteWord(op.kind);
             appendHint(msg, op.kind, tableNames(kOpKinds));
             return Diag{op.kindPos, std::move(msg)};
         }
@@ -328,7 +328,7 @@ class Lowerer
                             " SYM gran 4 stride 4')"};
         const int symbol = symbolIds_.find(op.symbol);
         if (symbol < 0) {
-            std::string msg = "unknown symbol " + quoted(op.symbol);
+            std::string msg = "unknown symbol " + quoteWord(op.symbol);
             std::vector<std::string> symbolNames;
             for (const AstSymbol &s : bench.symbols)
                 symbolNames.emplace_back(s.name);
@@ -416,7 +416,7 @@ class Lowerer
         const int id = nodeIds_.find(ref.id);
         if (id < 0) {
             std::string msg = std::string(what) + " " +
-                              quoted(ref.id) +
+                              quoteWord(ref.id) +
                               " does not name an op in this loop";
             // The loop's op ids in statement order, as candidates.
             std::vector<std::string> nodeNames;
@@ -489,7 +489,7 @@ class Lowerer
         }
         if (!known) {
             std::string msg =
-                "unknown dependence kind " + quoted(dep.kind);
+                "unknown dependence kind " + quoteWord(dep.kind);
             appendHint(msg, dep.kind, tableNames(kDepKinds));
             return Diag{dep.kindPos, std::move(msg)};
         }
@@ -525,7 +525,7 @@ class Lowerer
             if (!out.body.isMemNode(id))
                 return Diag{ref.pos,
                             "chain links memory ops only (" +
-                                quoted(ref.id) +
+                                quoteWord(ref.id) +
                                 " is not a load/store)"};
             chainOps_.push_back(id);
         }

@@ -11,7 +11,7 @@
 #ifndef WIVLIW_LANG_NAME_TABLE_HH
 #define WIVLIW_LANG_NAME_TABLE_HH
 
-#include <cstdint>
+#include <functional>
 #include <string_view>
 #include <vector>
 
@@ -74,16 +74,10 @@ class NameTable
         bool used = false;
     };
 
-    /** FNV-1a: ids are short, so a byte loop beats a block hash. */
     static std::size_t
     hash(std::string_view name)
     {
-        std::uint64_t h = 0xcbf29ce484222325ull;
-        for (unsigned char c : name) {
-            h ^= c;
-            h *= 0x100000001b3ull;
-        }
-        return std::size_t(h ^ (h >> 32));
+        return std::hash<std::string_view>{}(name);
     }
 
     void

@@ -1,6 +1,5 @@
 #include "lang/parser.hh"
 
-#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <charconv>
@@ -87,7 +86,7 @@ class Parser
     {
         switch (t.kind) {
         case Token::Kind::Word:
-            return quoted(t.text);
+            return quoteWord(t.text);
         case Token::Kind::String:
             return "string \"" + unescape(t.text) + "\"";
         case Token::Kind::LBrace:
@@ -140,18 +139,6 @@ class Parser
         return true;
     }
 
-    /** Lines before the next '}': a bound on a body's statements. */
-    std::size_t
-    linesToClose() const
-    {
-        std::size_t lines = 0;
-        for (std::size_t k = i_; toks_[k].kind != Token::Kind::RBrace &&
-                                 toks_[k].kind != Token::Kind::End;
-             ++k)
-            lines += toks_[k].kind == Token::Kind::Newline;
-        return lines;
-    }
-
     /** Statement terminator: one or more newlines. */
     bool
     endOfLine()
@@ -177,12 +164,12 @@ class Parser
             std::from_chars(text.data(), text.data() + text.size(), v);
         if (ec == std::errc::result_out_of_range)
             return fail(cur().pos,
-                        std::string(what) + " " + quoted(text) +
+                        std::string(what) + " " + quoteWord(text) +
                             " is out of range");
         if (ec != std::errc() || end != text.data() + text.size())
             return fail(cur().pos, std::string("expected ") + what +
                                        " (an integer), got " +
-                                       quoted(text));
+                                       quoteWord(text));
         value = v;
         pos = cur().pos;
         advance();
@@ -229,7 +216,7 @@ class Parser
             if (cur().kind == Token::Kind::End)
                 return fail(cur().pos,
                             "unclosed benchmark " +
-                                quoted(bench.name) +
+                                quoteWord(bench.name) +
                                 " (missing '}')");
             if (cur().kind != Token::Kind::Word)
                 return fail(cur().pos,
@@ -336,13 +323,10 @@ class Parser
         }
         if (!punct(Token::Kind::LBrace, "'{'") || !endOfLine())
             return false;
-        // Capped: a hostile body of blank lines must not reserve
-        // gigabytes.
-        loop.stmts.reserve(std::min<std::size_t>(linesToClose(), 512));
         while (cur().kind != Token::Kind::RBrace) {
             if (cur().kind == Token::Kind::End)
                 return fail(cur().pos, "unclosed loop " +
-                                           quoted(loop.name) +
+                                           quoteWord(loop.name) +
                                            " (missing '}')");
             if (!parseLoopStmt(loop.stmts.emplace_back()))
                 return false;
@@ -524,7 +508,7 @@ class Parser
             return ref("store value op", op.value);
         }
         return fail(attr.pos,
-                    "unknown op attribute " + quoted(attr.text));
+                    "unknown op attribute " + quoteWord(attr.text));
     }
 
     std::vector<Token> toks_;

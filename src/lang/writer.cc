@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "ddg/op_types.hh"
@@ -286,17 +285,19 @@ dumpWorkloadText(const BenchmarkSpec &spec)
         os << "  maindata size " << spec.mainDataSize << " share "
            << formatDouble(spec.mainDataShare) << '\n';
     }
+    // Reserved up front: `used` views these strings, so they must
+    // never move.
     std::vector<std::string> symbolIds;
     symbolIds.reserve(spec.symbols.size());
-    std::unordered_set<std::string> used;
+    NameTable used;
+    used.reset(spec.symbols.size());
     for (std::size_t i = 0; i < spec.symbols.size(); ++i) {
         const SymbolSpec &sym = spec.symbols[i];
-        std::string id = usableId(sym.name) && !used.count(sym.name)
+        std::string id = usableId(sym.name) && used.find(sym.name) < 0
                              ? sym.name
                              : "sym" + std::to_string(i);
-        while (used.count(id))
+        while (used.find(id) >= 0)
             id += "_";
-        used.insert(id);
         os << "  symbol " << id << " size " << sym.sizeBytes;
         if (sym.storage == SymbolSpec::Storage::Stack)
             os << " storage stack";
@@ -304,6 +305,7 @@ dumpWorkloadText(const BenchmarkSpec &spec)
             os << " storage heap";
         os << '\n';
         symbolIds.push_back(std::move(id));
+        used.insert(symbolIds.back(), int(i));
     }
     for (std::size_t i = 0; i < spec.loops.size(); ++i)
         dumpLoop(os, spec.loops[i], i, symbolIds);
