@@ -292,19 +292,6 @@ Toolchain::compileBenchmark(const BenchmarkSpec &bench) const
 
 namespace {
 
-/** Hot-path address callback bound to a resolver (no heap). */
-AddressSource
-resolverSource(const AddressResolver &addr)
-{
-    AddressSource src;
-    src.ctx = &addr;
-    src.fn = [](const void *ctx, NodeId v, std::int64_t iter) {
-        return static_cast<const AddressResolver *>(ctx)
-            ->addressOf(v, iter);
-    };
-    return src;
-}
-
 /** Kernel handles of one loop's compiled versions. */
 struct LoopKernels
 {
@@ -382,7 +369,7 @@ simulateDataset(const MachineConfig &cfg, const BenchmarkSpec &bench,
             params.iterations = version->kernelIterations;
             params.startCycle = clock;
             const SimRunResult result =
-                ws.run(kernel, params, resolverSource(*addr), mem,
+                ws.run(kernel, params, AddressSource(*addr), mem,
                        cfg);
             lr.sim.merge(result.stats);
             clock = result.endCycle;

@@ -53,6 +53,15 @@ class CacheModel : public MemSystem
             : addr / std::uint64_t(cfg_.blockBytes);
     }
 
+    /** Byte offset of @p addr inside its block @p block. */
+    std::uint64_t
+    offsetInBlock(std::uint64_t addr, std::uint64_t block) const
+    {
+        return blockShift_ >= 0
+            ? addr - (block << blockShift_)
+            : addr - block * std::uint64_t(cfg_.blockBytes);
+    }
+
     /**
      * Acquire a next-level port no earlier than @p t_nl, recording
      * the request and any wait in the shared stats.

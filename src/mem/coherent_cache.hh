@@ -21,11 +21,12 @@
 namespace vliw {
 
 /** Snoopy-MSI multiVLIW cache model. */
-class CoherentCache : public CacheModel
+class CoherentCache final : public CacheModel
 {
   public:
     explicit CoherentCache(const MachineConfig &cfg);
 
+    /** Defined inline below (see InterleavedCache::access). */
     MemAccessResult access(const MemRequest &req) override;
     void invalidateAll() override;
 
@@ -67,6 +68,114 @@ class CoherentCache : public CacheModel
     std::vector<Module> modules_;
     ResourceSet memBuses_;
 };
+
+inline MemAccessResult
+CoherentCache::access(const MemRequest &req)
+{
+    const Cycles t = req.issueCycle;
+    const std::uint64_t block = blockOf(req.addr);
+    /** Combining key: block * numClusters + cluster. */
+    const std::uint64_t fill_key =
+        block * std::uint64_t(cfg_.numClusters) +
+        std::uint64_t(req.cluster);
+
+    Module &own = modules_[std::size_t(req.cluster)];
+    MemAccessResult res;
+
+    const int line = own.tags.touch(block);
+    const Msi st = line == TagArray::kNoLine
+        ? Msi::Invalid : own.state[std::size_t(line)];
+
+    if (!req.isStore) {
+        if (const Cycles *fill = pendingFills_.find(fill_key, t)) {
+            // Line allocated but the fill is still in flight.
+            res.cls = AccessClass::Combined;
+            res.readyCycle = *fill;
+            stats_.record(res.cls, false);
+            return res;
+        }
+        if (st != Msi::Invalid) {
+            res.cls = AccessClass::LocalHit;
+            res.readyCycle = t + cfg_.latCoherentHit;
+            stats_.record(res.cls, false);
+            return res;
+        }
+
+        // Broadcast the read miss on the bus.
+        const Cycles wait_bus = busAcquire(memBuses_, t);
+        res.referencedRemote = true;
+
+        const int holder = findOtherHolder(req.cluster, block);
+        if (holder >= 0) {
+            // Cache-to-cache transfer; a Modified supplier writes
+            // the line back while downgrading to Shared.
+            Module &sup = modules_[std::size_t(holder)];
+            const int sup_line = sup.tags.probe(block);
+            if (sup.state[std::size_t(sup_line)] == Msi::Modified)
+                writebackVictim(t);
+            sup.state[std::size_t(sup_line)] = Msi::Shared;
+            res.cls = AccessClass::RemoteHit;
+            res.readyCycle = t + cfg_.latCacheToCache + wait_bus;
+        } else {
+            const Cycles wait_nl =
+                nlAcquire(t + wait_bus + cfg_.memBusOccupancy);
+            res.cls = AccessClass::LocalMiss;
+            res.readyCycle = t + cfg_.latCoherentHit +
+                cfg_.latNextLevel + wait_bus + wait_nl;
+        }
+        pendingFills_.set(fill_key, res.readyCycle, t);
+        install(req.cluster, block, Msi::Shared, t);
+        stats_.record(res.cls, false);
+        return res;
+    }
+
+    // Store path: needs the Modified state.
+    if (const Cycles *fill = pendingFills_.find(fill_key, t)) {
+        res.cls = AccessClass::Combined;
+        res.readyCycle = *fill;
+        stats_.record(res.cls, true);
+        return res;
+    }
+    if (st == Msi::Modified) {
+        res.cls = AccessClass::LocalHit;
+        res.readyCycle = t + cfg_.latCoherentHit;
+        stats_.record(res.cls, true);
+        return res;
+    }
+
+    if (st == Msi::Shared) {
+        // Upgrade: invalidate the other copies over the bus; the
+        // store itself completes locally.
+        busAcquire(memBuses_, t);
+        invalidateOthers(req.cluster, block);
+        own.state[std::size_t(line)] = Msi::Modified;
+        res.cls = AccessClass::LocalHit;
+        res.readyCycle = t + cfg_.latCoherentHit;
+        stats_.record(res.cls, true);
+        return res;
+    }
+
+    // Write miss.
+    const Cycles wait_bus = busAcquire(memBuses_, t);
+    res.referencedRemote = true;
+
+    const int holder = findOtherHolder(req.cluster, block);
+    if (holder >= 0) {
+        invalidateOthers(req.cluster, block);
+        res.cls = AccessClass::RemoteHit;
+        res.readyCycle = t + cfg_.latCacheToCache + wait_bus;
+    } else {
+        const Cycles wait_nl =
+            nlAcquire(t + wait_bus + cfg_.memBusOccupancy);
+        res.cls = AccessClass::LocalMiss;
+        res.readyCycle = t + cfg_.latCoherentHit +
+            cfg_.latNextLevel + wait_bus + wait_nl;
+    }
+    pendingFills_.set(fill_key, res.readyCycle, t);
+    install(req.cluster, block, Msi::Modified, t);
+    stats_.record(res.cls, true);
+    return res;
+}
 
 } // namespace vliw
 

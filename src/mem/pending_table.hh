@@ -3,15 +3,16 @@
  * Flat table of in-flight transactions (subblock fetches, block
  * fills) keyed by an opaque 64-bit id, each live until a completion
  * cycle. Semantically a map whose entries become invisible once
- * their cycle passes; physically a small flat vector that recycles
- * expired slots in place, so the steady state allocates nothing --
- * the table never grows past the peak number of genuinely
- * concurrent transactions, which the memory latencies bound to a
- * handful.
+ * their cycle passes; physically a small flat vector holding only
+ * the entries still in flight, so the steady state allocates nothing
+ * and a lookup scans a handful of entries: the memory latencies
+ * bound the number of genuinely concurrent transactions.
  *
  * Requests arrive in non-decreasing time order (the lock-step core
- * guarantees it), which is what makes in-place recycling safe: an
- * entry expired at the current access can never be queried again.
+ * guarantees it), which is what makes dropping safe: an entry
+ * expired at the current access can never be visible again, so
+ * find() and set() drop every expired entry their scan meets, and
+ * the whole table at once when its latest completion has passed.
  */
 
 #ifndef WIVLIW_MEM_PENDING_TABLE_HH
@@ -31,43 +32,60 @@ class PendingTable
     /**
      * Completion cycle of a live entry for @p key, or nullptr when
      * none is in flight (absent or already completed by @p now).
+     * The pointer is valid until the next call on the table.
      */
     const Cycles *
-    find(std::uint64_t key, Cycles now) const
+    find(std::uint64_t key, Cycles now)
     {
-        for (const Entry &e : entries_) {
+        if (now >= latest_) {
+            entries_.clear();
+            return nullptr;
+        }
+        for (std::size_t i = 0; i < entries_.size();) {
+            Entry &e = entries_[i];
+            if (e.until <= now) {
+                drop(i);
+                continue;
+            }
             if (e.key == key)
-                return e.until > now ? &e.until : nullptr;
+                return &e.until;
+            ++i;
         }
         return nullptr;
     }
 
     /**
      * Record that @p key is in flight until @p until, overwriting
-     * any previous entry for the key or recycling an expired slot.
+     * any previous entry for the key.
      */
     void
     set(std::uint64_t key, Cycles until, Cycles now)
     {
-        Entry *expired = nullptr;
-        for (Entry &e : entries_) {
+        if (now >= latest_)
+            entries_.clear();
+        latest_ = until > latest_ ? until : latest_;
+        for (std::size_t i = 0; i < entries_.size();) {
+            Entry &e = entries_[i];
+            if (e.until <= now) {
+                drop(i);
+                continue;
+            }
             if (e.key == key) {
                 e.until = until;
                 return;
             }
-            if (!expired && e.until <= now)
-                expired = &e;
-        }
-        if (expired) {
-            expired->key = key;
-            expired->until = until;
-            return;
+            ++i;
         }
         entries_.push_back({key, until});
     }
 
     /** Forget everything; capacity is kept. */
-    void clear() { entries_.clear(); }
+    void
+    clear()
+    {
+        entries_.clear();
+        latest_ = 0;
+    }
 
     std::size_t size() const { return entries_.size(); }
 
@@ -78,7 +96,17 @@ class PendingTable
         Cycles until;
     };
 
+    /** Remove entry @p i; keys are unique, so order is free. */
+    void
+    drop(std::size_t i)
+    {
+        entries_[i] = entries_.back();
+        entries_.pop_back();
+    }
+
     std::vector<Entry> entries_;
+    /** No entry completes later than this. */
+    Cycles latest_ = 0;
 };
 
 } // namespace vliw

@@ -7,38 +7,16 @@ namespace vliw {
 
 TagArray::TagArray(int sets, int ways)
     : sets_(sets), ways_(ways),
-      setMask_(isPowerOfTwo(std::uint64_t(sets))
-                   ? std::uint64_t(sets) - 1 : 0)
+      setsPow2_(isPowerOfTwo(std::uint64_t(sets))),
+      setMask_(std::uint64_t(sets) - 1)
 {
     vliw_assert(sets > 0 && ways > 0, "degenerate tag array ",
                 sets, "x", ways);
     const std::size_t lines = static_cast<std::size_t>(sets) *
         static_cast<std::size_t>(ways);
-    keys_.assign(lines, 0);
+    keys_.assign(lines, kEmpty);
     lastUse_.assign(lines, 0);
-    valid_.assign(lines, 0);
     dirty_.assign(lines, 0);
-}
-
-int
-TagArray::probe(std::uint64_t key) const
-{
-    const int first = setOf(key) * ways_;
-    for (int line = first; line < first + ways_; ++line) {
-        if (valid_[std::size_t(line)] &&
-            keys_[std::size_t(line)] == key)
-            return line;
-    }
-    return kNoLine;
-}
-
-int
-TagArray::touch(std::uint64_t key)
-{
-    const int line = probe(key);
-    if (line != kNoLine)
-        lastUse_[std::size_t(line)] = ++useCounter_;
-    return line;
 }
 
 int
@@ -47,7 +25,7 @@ TagArray::victimOf(std::uint64_t key) const
     const int first = setOf(key) * ways_;
     int victim = first;
     for (int line = first; line < first + ways_; ++line) {
-        if (!valid_[std::size_t(line)])
+        if (keys_[std::size_t(line)] == kEmpty)
             return line;
         if (lastUse_[std::size_t(line)] < lastUse_[std::size_t(victim)])
             victim = line;
@@ -59,28 +37,22 @@ int
 TagArray::insert(std::uint64_t key, std::uint64_t *evicted_key,
                  bool *did_evict)
 {
+    vliw_assert(key != kEmpty, "insert of the reserved empty key");
     vliw_assert(probe(key) == kNoLine,
                 "insert of already-present key");
     const int victim = victimOf(key);
     const std::size_t v = std::size_t(victim);
+    const bool valid = keys_[v] != kEmpty;
 
     if (did_evict)
-        *did_evict = valid_[v] != 0;
-    if (evicted_key && valid_[v])
+        *did_evict = valid;
+    if (evicted_key && valid)
         *evicted_key = keys_[v];
-    evictedDirty_ = valid_[v] && dirty_[v];
+    evictedDirty_ = valid && dirty_[v];
     keys_[v] = key;
-    valid_[v] = 1;
     dirty_[v] = 0;
     lastUse_[v] = ++useCounter_;
     return victim;
-}
-
-void
-TagArray::markDirty(int line)
-{
-    vliw_assert(lineValid(line), "markDirty on invalid line");
-    dirty_[std::size_t(line)] = 1;
 }
 
 bool
@@ -95,16 +67,16 @@ TagArray::invalidate(std::uint64_t key)
     const int line = probe(key);
     if (line == kNoLine)
         return false;
-    valid_[std::size_t(line)] = 0;
+    keys_[std::size_t(line)] = kEmpty;
     return true;
 }
 
 void
 TagArray::invalidateLine(int line)
 {
-    vliw_assert(line >= 0 && std::size_t(line) < valid_.size(),
+    vliw_assert(line >= 0 && std::size_t(line) < keys_.size(),
                 "bad line handle");
-    valid_[std::size_t(line)] = 0;
+    keys_[std::size_t(line)] = kEmpty;
 }
 
 std::uint64_t
@@ -114,18 +86,11 @@ TagArray::keyOf(int line) const
     return keys_[std::size_t(line)];
 }
 
-bool
-TagArray::lineValid(int line) const
-{
-    return line >= 0 && std::size_t(line) < valid_.size() &&
-        valid_[std::size_t(line)] != 0;
-}
-
 void
 TagArray::clear()
 {
-    for (std::uint8_t &v : valid_)
-        v = 0;
+    for (std::uint64_t &k : keys_)
+        k = kEmpty;
 }
 
 void
@@ -144,8 +109,8 @@ int
 TagArray::occupancy() const
 {
     int n = 0;
-    for (std::uint8_t v : valid_) {
-        if (v)
+    for (std::uint64_t k : keys_) {
+        if (k != kEmpty)
             ++n;
     }
     return n;

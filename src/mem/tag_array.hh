@@ -4,10 +4,9 @@
  * by the Attraction Buffers.
  *
  * Storage is struct-of-arrays over flat index arithmetic (line =
- * set * ways + way): the probe loop walks a contiguous run of keys
- * with a parallel validity byte, so the common hit/miss question
- * touches two small arrays instead of striding over fat line
- * records.
+ * set * ways + way). An empty line holds the reserved key kEmpty,
+ * so the common hit/miss question compares one contiguous run of
+ * keys and nothing else, over every way without an early exit.
  */
 
 #ifndef WIVLIW_MEM_TAG_ARRAY_HH
@@ -15,6 +14,8 @@
 
 #include <cstdint>
 #include <vector>
+
+#include "support/logging.hh"
 
 namespace vliw {
 
@@ -27,11 +28,33 @@ class TagArray
     /** Line handle: set * ways + way, or -1. */
     static constexpr int kNoLine = -1;
 
-    /** Find without touching LRU state. */
-    int probe(std::uint64_t key) const;
+    /** The key of an empty line; insert() refuses it. */
+    static constexpr std::uint64_t kEmpty = ~std::uint64_t(0);
+
+    /** Find without touching LRU state. Keys are unique within a
+     *  set, so the scan need not stop at a match. */
+    int
+    probe(std::uint64_t key) const
+    {
+        if (key == kEmpty)
+            return kNoLine;
+        const int first = setOf(key) * ways_;
+        const std::uint64_t *keys = keys_.data() + first;
+        int found = kNoLine;
+        for (int way = 0; way < ways_; ++way)
+            found = keys[way] == key ? first + way : found;
+        return found;
+    }
 
     /** Find and update LRU; kNoLine on miss. */
-    int touch(std::uint64_t key);
+    int
+    touch(std::uint64_t key)
+    {
+        const int line = probe(key);
+        if (line != kNoLine)
+            lastUse_[std::size_t(line)] = ++useCounter_;
+        return line;
+    }
 
     /**
      * Insert @p key, evicting the set's LRU line if needed.
@@ -54,12 +77,22 @@ class TagArray
     /** Key stored in @p line (line must be valid). */
     std::uint64_t keyOf(int line) const;
 
-    bool lineValid(int line) const;
+    bool
+    lineValid(int line) const
+    {
+        return line >= 0 && std::size_t(line) < keys_.size() &&
+            keys_[std::size_t(line)] != kEmpty;
+    }
 
     /// @name Dirty tracking (write-back caches)
     /// @{
     /** Mark @p line dirty; cleared automatically on insert. */
-    void markDirty(int line);
+    void
+    markDirty(int line)
+    {
+        vliw_assert(lineValid(line), "markDirty on invalid line");
+        dirty_[std::size_t(line)] = 1;
+    }
     bool isDirty(int line) const;
     /** Dirty state of the victim evicted by the last insert(). */
     bool lastEvictionWasDirty() const { return evictedDirty_; }
@@ -82,18 +115,18 @@ class TagArray
     {
         // Power-of-two set counts index with a mask; the modulo is
         // the general fallback.
-        return setMask_ != 0
-            ? int(key & std::uint64_t(setMask_))
-            : int(key % std::uint64_t(sets_));
+        return setsPow2_ ? int(key & setMask_)
+                         : int(key % std::uint64_t(sets_));
     }
 
     int sets_;
     int ways_;
-    /** sets_ - 1 when sets_ is a power of two, else 0. */
-    std::uint64_t setMask_ = 0;
+    bool setsPow2_;
+    /** sets_ - 1 (the set index mask when setsPow2_). */
+    std::uint64_t setMask_;
+    /** Line keys; kEmpty marks an invalid line. */
     std::vector<std::uint64_t> keys_;
     std::vector<std::uint64_t> lastUse_;
-    std::vector<std::uint8_t> valid_;
     std::vector<std::uint8_t> dirty_;
     std::uint64_t useCounter_ = 0;
     bool evictedDirty_ = false;

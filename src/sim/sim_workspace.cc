@@ -1,7 +1,11 @@
 #include "sim_workspace.hh"
 
 #include <algorithm>
+#include <type_traits>
 
+#include "mem/coherent_cache.hh"
+#include "mem/interleaved_cache.hh"
+#include "mem/unified_cache.hh"
 #include "support/logging.hh"
 
 namespace vliw {
@@ -238,6 +242,8 @@ SimWorkspace::buildPlan(const Kernel &k, Plan &plan)
     // ---- The pruned wave sequence, operands in sequence order. ----
     plan.seq.clear();
     plan.operands.clear();
+    plan.memNodes.clear();
+    plan.memStages.clear();
     int max_distance = 0;
     for (const Issue &issue : k.waveSeq) {
         const std::size_t i = std::size_t(issue.item);
@@ -253,13 +259,28 @@ SimWorkspace::buildPlan(const Kernel &k, Plan &plan)
             max_distance = std::max(max_distance, op.distance);
         }
         const std::int32_t end = std::int32_t(plan.operands.size());
-        const ItemKind kind = k.items[i].kind;
+        const HotItem &item = k.items[i];
         const bool memory =
-            kind == ItemKind::Load || kind == ItemKind::Store;
+            item.kind == ItemKind::Load || item.kind == ItemKind::Store;
         if (begin == end && !memory && rowOf_[i] < 0)
             continue;
-        plan.seq.push_back({issue.item, issue.stage, issue.phase,
-                            rowOf_[i], begin, end});
+        PlanIssue entry;
+        entry.stage = issue.stage;
+        entry.phase = issue.phase;
+        entry.row = rowOf_[i];
+        entry.opBegin = begin;
+        entry.opEnd = end;
+        entry.cluster = item.cluster;
+        entry.latOrSize = item.latOrSize;
+        entry.kind = item.kind;
+        entry.memStore = item.memStore;
+        entry.memAttract = item.memAttract;
+        if (memory) {
+            entry.memSlot = std::int32_t(plan.memNodes.size());
+            plan.memNodes.push_back(item.node);
+            plan.memStages.push_back(issue.stage);
+        }
+        plan.seq.push_back(entry);
     }
 
     // Instance j's slot is next written by instance j + depth, and
@@ -275,39 +296,17 @@ SimWorkspace::buildPlan(const Kernel &k, Plan &plan)
     plan.ringMask = depth - 1;
 }
 
-SimRunResult
-SimWorkspace::run(int kernel, const SimRunParams &params,
-                  const AddressSource &addr, MemSystem &mem,
-                  const MachineConfig &cfg)
+template <class Mem>
+[[gnu::flatten]] Cycles
+SimWorkspace::walk(Kernel &k, const Plan &plan,
+                   const SimRunParams &params, std::int64_t base,
+                   Mem &mem, const MachineConfig &cfg, SimStats &stats)
 {
-    vliw_assert(kernel >= 0 && std::size_t(kernel) < usedKernels_,
-                "bad kernel handle ", kernel);
-    vliw_assert(params.iterations >= 0, "negative trip count");
-    Kernel &k = *kernels_[std::size_t(kernel)];
     const Ddg &ddg = *k.ddg;
     const Schedule &sched = *k.sched;
     const std::int64_t iterations = params.iterations;
     const Cycles start = params.startCycle;
     const int ii = k.ii;
-    // Claim this run's stamps up front, so a run that panics part
-    // way never leaves slots a later run could mistake for its own.
-    const std::int64_t base = stampBase_;
-    stampBase_ += iterations;
-
-    SimStats stats;
-
-    SimRunResult result;
-    result.endCycle = start;
-    if (iterations == 0 || k.items.empty()) {
-        if (iterations > 0) {
-            result.stats.totalCycles =
-                (iterations - 1) * ii + k.length;
-            result.endCycle = start + result.stats.totalCycles;
-        }
-        return result;
-    }
-
-    const Plan &plan = planFor(k, cfg.regBusLatency);
 
     // Ring slot of instance j of a ring row (see Kernel::ring).
     const std::size_t rows = std::size_t(plan.rows);
@@ -347,25 +346,28 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
         }
     };
 
-    // ---- Main loop: instances in nominal issue order, walking
-    // the plan's wave sequence (see the header comment). ----
-    const HotItem *items = k.items.data();
     const PlanIssue *seq = plan.seq.data();
     const std::size_t seq_len = plan.seq.size();
     const PlanOperand *operands = plan.operands.data();
     RingSlot *ring = k.ring.data();
+    std::uint8_t *load_cls = k.loadCls.data();
     const Cycles reg_bus_lat = cfg.regBusLatency;
     Cycles offset = 0;
 
-    const std::int64_t waves = seq_len ? iterations + k.maxStage : 0;
-    for (std::int64_t w = 0; w < waves; ++w) {
+    // ---- One wave: instances in nominal issue order, walking the
+    // plan's wave sequence (see the header comment). Only fill and
+    // drain waves can hold instances outside [0, iterations), so
+    // only they test the bounds. ----
+    auto wave = [&](std::int64_t w, const std::uint64_t *addrs,
+                    auto bounded) {
         const Cycles wave_base = start + w * ii;
         for (std::size_t s = 0; s < seq_len; ++s) {
             const PlanIssue &issue = seq[s];
             const std::int64_t iter = w - issue.stage;
-            if (iter < 0 || iter >= iterations)
-                continue;   // pipeline fill / drain wave
-            const HotItem &item = items[issue.item];
+            if constexpr (decltype(bounded)::value) {
+                if (iter < 0 || iter >= iterations)
+                    continue;   // pipeline fill / drain wave
+            }
             Cycles t_issue = wave_base + issue.phase + offset;
 
             // Stall-on-use: wait for every checked operand. A ring
@@ -392,31 +394,26 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
 
             Cycles ready = 0;
             AccessClass cls = AccessClass::LocalHit;
-            switch (item.kind) {
+            switch (issue.kind) {
               case ItemKind::Copy:
                 ready = t_issue + reg_bus_lat;
                 break;
               case ItemKind::Compute:
-                ready = t_issue + item.latOrSize;
+                ready = t_issue + issue.latOrSize;
                 break;
               case ItemKind::Load:
               case ItemKind::Store: {
                 MemRequest req;
-                req.cluster = item.cluster;
-                req.addr = addr(item.node, iter);
-                req.size = item.latOrSize;
-                req.isStore = item.memStore != 0;
+                req.cluster = issue.cluster;
+                req.addr = addrs[issue.memSlot];
+                req.size = issue.latOrSize;
+                req.isStore = issue.memStore != 0;
                 req.issueCycle = t_issue;
-                req.attractable = item.memAttract != 0;
+                req.attractable = issue.memAttract != 0;
                 const MemAccessResult res = mem.access(req);
-
-                stats.memAccesses += 1;
-                stats.accessesByClass[std::size_t(res.cls)] += 1;
-                if (res.abHit)
-                    stats.abHits += 1;
                 cls = res.cls;
-                ready = item.kind == ItemKind::Load ? res.readyCycle
-                                                    : t_issue + 1;
+                ready = issue.kind == ItemKind::Load ? res.readyCycle
+                                                     : t_issue + 1;
                 break;
               }
             }
@@ -426,13 +423,108 @@ SimWorkspace::run(int kernel, const SimRunParams &params,
             const std::size_t at = slotOf(issue.row, iter);
             ring[at].ready = ready;
             ring[at].stamp = base + iter;
-            if (item.kind == ItemKind::Load)
-                k.loadCls[at] = std::uint8_t(cls);
+            if (issue.kind == ItemKind::Load)
+                load_cls[at] = std::uint8_t(cls);
         }
+    };
+
+    // ---- Waves in blocks of kBlock: fill the block's addresses
+    // (row w - w0, column memSlot), then walk its waves. ----
+    const std::size_t mems = plan.memNodes.size();
+    std::uint64_t *block = addrBlock_.data();
+    const std::int64_t waves = seq_len ? iterations + k.maxStage : 0;
+    for (std::int64_t w0 = 0; w0 < waves; w0 += kBlock) {
+        const std::int64_t w1 = std::min(w0 + kBlock, waves);
+        for (std::size_t m = 0; m < mems; ++m) {
+            const std::int64_t stage = plan.memStages[m];
+            const std::int64_t first =
+                std::max<std::int64_t>(0, w0 - stage);
+            const std::int64_t last =
+                std::min(iterations, w1 - stage);
+            if (first < last) {
+                streams_[m].fill(
+                    block + std::size_t(first + stage - w0) * mems + m,
+                    mems, last - first);
+            }
+        }
+        const std::int64_t lo =
+            std::clamp<std::int64_t>(k.maxStage, w0, w1);
+        const std::int64_t hi = std::clamp(iterations, lo, w1);
+        std::int64_t w = w0;
+        for (; w < lo; ++w)
+            wave(w, block + std::size_t(w - w0) * mems, std::true_type{});
+        for (; w < hi; ++w)
+            wave(w, block + std::size_t(w - w0) * mems, std::false_type{});
+        for (; w < w1; ++w)
+            wave(w, block + std::size_t(w - w0) * mems, std::true_type{});
+    }
+    return offset;
+}
+
+SimRunResult
+SimWorkspace::run(int kernel, const SimRunParams &params,
+                  const AddressSource &addr, MemSystem &mem,
+                  const MachineConfig &cfg)
+{
+    vliw_assert(kernel >= 0 && std::size_t(kernel) < usedKernels_,
+                "bad kernel handle ", kernel);
+    vliw_assert(params.iterations >= 0, "negative trip count");
+    Kernel &k = *kernels_[std::size_t(kernel)];
+    const std::int64_t iterations = params.iterations;
+    const Cycles start = params.startCycle;
+    const int ii = k.ii;
+    // Claim this run's stamps up front, so a run that panics part
+    // way never leaves slots a later run could mistake for its own.
+    const std::int64_t base = stampBase_;
+    stampBase_ += iterations;
+
+    SimRunResult result;
+    result.endCycle = start;
+    if (iterations == 0 || k.items.empty()) {
+        if (iterations > 0) {
+            result.stats.totalCycles =
+                (iterations - 1) * ii + k.length;
+            result.endCycle = start + result.stats.totalCycles;
+        }
+        return result;
     }
 
+    const Plan &plan = planFor(k, cfg.regBusLatency);
+
+    // One address stream per memory item, bound once per run.
+    const std::size_t mems = plan.memNodes.size();
+    streams_.resize(mems);
+    for (std::size_t m = 0; m < mems; ++m)
+        streams_[m] = addr.stream(plan.memNodes[m]);
+    if (addrBlock_.size() < std::size_t(kBlock) * mems)
+        addrBlock_.resize(std::size_t(kBlock) * mems);
+
+    // The memory model is chosen once per run; the wave loop calls
+    // the concrete model's access() directly.
+    SimStats stats;
+    const MemStats before = mem.stats();
+    Cycles offset = 0;
+    if (auto *m = dynamic_cast<InterleavedCache *>(&mem))
+        offset = walk(k, plan, params, base, *m, cfg, stats);
+    else if (auto *m = dynamic_cast<UnifiedCache *>(&mem))
+        offset = walk(k, plan, params, base, *m, cfg, stats);
+    else if (auto *m = dynamic_cast<CoherentCache *>(&mem))
+        offset = walk(k, plan, params, base, *m, cfg, stats);
+    else
+        offset = walk(k, plan, params, base, mem, cfg, stats);
+
+    // Access counts are the model's own per-access records.
+    const MemStats &after = mem.stats();
+    for (std::size_t c = 0; c < stats.accessesByClass.size(); ++c) {
+        stats.accessesByClass[c] = after.byClass[c] - before.byClass[c];
+        stats.memAccesses += stats.accessesByClass[c];
+    }
+    stats.abHits = after.abHits - before.abHits;
+    vliw_assert(stats.memAccesses == Counter(mems) * Counter(iterations),
+                "the memory model did not record every access");
+
     // Every item issues once per iteration, pruned or not.
-    const Counter copies = Counter(sched.copies.size());
+    const Counter copies = Counter(k.sched->copies.size());
     stats.dynamicOps =
         (Counter(k.items.size()) - copies) * Counter(iterations);
     stats.dynamicCopies = copies * Counter(iterations);

@@ -81,24 +81,32 @@
 #include "mem/mem_system.hh"
 #include "sched/schedule.hh"
 #include "sim/sim_stats.hh"
+#include "workloads/address_gen.hh"
 
 namespace vliw {
 
 /**
- * Non-owning address callback: the hot loop calls through a plain
- * function pointer instead of a std::function, so binding a resolver
- * per invocation never touches the heap.
+ * Where run() takes its addresses from: the streams of an
+ * AddressResolver, or a plain function (fn, ctx) called once per
+ * iteration. run() binds one AddressStream per memory item per run
+ * and fills addresses a block of iterations at a time. Non-owning:
+ * the resolver or ctx must outlive the run.
  */
 struct AddressSource
 {
-    std::uint64_t (*fn)(const void *ctx, NodeId v,
-                        std::int64_t iter) = nullptr;
+    AddressStream::Fn fn = nullptr;
     const void *ctx = nullptr;
+    const AddressResolver *resolver = nullptr;
 
-    std::uint64_t
-    operator()(NodeId v, std::int64_t iter) const
+    AddressSource() = default;
+    explicit AddressSource(const AddressResolver &r) : resolver(&r) {}
+
+    /** Node @p v's addresses from iteration 0 of this run on. */
+    AddressStream
+    stream(NodeId v) const
     {
-        return fn(ctx, v, iter);
+        return resolver ? resolver->stream(v)
+                        : AddressStream::function(fn, ctx, v);
     }
 };
 
@@ -190,10 +198,10 @@ class SimWorkspace
         std::int64_t stamp = 0;
     };
 
-    /** One entry of a plan's wave sequence. */
+    /** One entry of a plan's wave sequence, carrying every item
+     *  attribute run() reads. */
     struct PlanIssue
     {
-        std::int32_t item = 0;   ///< sorted-item index
         std::int32_t stage = 0;
         std::int32_t phase = 0;
         /** Ring row the item writes; -1 when nothing checks it. */
@@ -201,6 +209,14 @@ class SimWorkspace
         /** Checked operands: [opBegin, opEnd) of Plan::operands. */
         std::int32_t opBegin = 0;
         std::int32_t opEnd = 0;
+        /** Address column of a memory item (Plan::memNodes). */
+        std::int32_t memSlot = -1;
+        std::int32_t cluster = 0;
+        /** Assigned latency (Compute) or access size (Load/Store). */
+        std::int32_t latOrSize = 0;
+        ItemKind kind = ItemKind::Compute;
+        std::uint8_t memStore = 0;
+        std::uint8_t memAttract = 0;
     };
 
     /** An operand the plan could not prove stall-free. */
@@ -220,6 +236,9 @@ class SimWorkspace
         std::vector<PlanIssue> seq;
         /** Checked operands, laid out in seq order. */
         std::vector<PlanOperand> operands;
+        /** Memory items by address column: node and stage. */
+        std::vector<NodeId> memNodes;
+        std::vector<std::int32_t> memStages;
         /** Ring rows (items a checked operand reads). */
         int rows = 0;
         /** Ring depth - 1; the depth is a power of two. */
@@ -259,10 +278,21 @@ class SimWorkspace
         std::vector<std::uint8_t> loadCls;
     };
 
+    /** Waves per address block: run() fills every memory item's
+     *  addresses for this many waves at a time. */
+    static constexpr std::int64_t kBlock = 64;
+
     Kernel &kernelStorage();
     /** @p k's plan at @p regBusLatency, built on first use. */
     const Plan &planFor(Kernel &k, int regBusLatency);
     void buildPlan(const Kernel &k, Plan &plan);
+
+    /** run()'s wave loop against one memory model type; returns
+     *  the accumulated stall offset. */
+    template <class Mem>
+    Cycles walk(Kernel &k, const Plan &plan,
+                const SimRunParams &params, std::int64_t base,
+                Mem &mem, const MachineConfig &cfg, SimStats &stats);
 
     // ---- prepare() scratch (reused, never shrunk) ----
     struct ProtoItem
@@ -281,6 +311,12 @@ class SimWorkspace
     std::vector<int> itemCycle_;
     std::vector<std::uint8_t> opChecked_;
     std::vector<std::int32_t> rowOf_;
+
+    // ---- run() scratch (reused, never shrunk) ----
+    /** One address stream per memory item of the running plan. */
+    std::vector<AddressStream> streams_;
+    /** One block of addresses, wave-major: (w - w0) * items + slot. */
+    std::vector<std::uint64_t> addrBlock_;
 
     /** Kernel pool: unique_ptr keeps handles stable across growth. */
     std::vector<std::unique_ptr<Kernel>> kernels_;
