@@ -53,16 +53,14 @@ CoherentCache::install(int cluster, std::uint64_t block, Msi st,
                        Cycles t)
 {
     Module &m = modules_[std::size_t(cluster)];
-    vliw_assert(m.tags.probe(block) == TagArray::kNoLine,
-                "install of a block already present");
-    // A Modified victim is written back through the buffer: off the
-    // critical path but it does occupy a next-level port.
-    const int victim = m.tags.victimOf(block);
-    if (m.tags.lineValid(victim) &&
-        m.state[std::size_t(victim)] == Msi::Modified) {
+    // insert() refuses a block already present. The claimed line
+    // still holds its victim's state: a Modified victim is written
+    // back through the buffer, off the critical path but occupying
+    // a next-level port.
+    bool evicted = false;
+    const int line = m.tags.insert(block, nullptr, &evicted);
+    if (evicted && m.state[std::size_t(line)] == Msi::Modified)
         writebackVictim(t);
-    }
-    const int line = m.tags.insert(block);
     m.state[std::size_t(line)] = st;
 }
 

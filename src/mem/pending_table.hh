@@ -11,8 +11,8 @@
  * Requests arrive in non-decreasing time order (the lock-step core
  * guarantees it), which is what makes dropping safe: an entry
  * expired at the current access can never be visible again, so
- * find() and set() drop every expired entry their scan meets, and
- * the whole table at once when its latest completion has passed.
+ * set() drops every expired entry its scan meets, and find() and
+ * set() drop the whole table once its latest completion has passed.
  */
 
 #ifndef WIVLIW_MEM_PENDING_TABLE_HH
@@ -32,7 +32,8 @@ class PendingTable
     /**
      * Completion cycle of a live entry for @p key, or nullptr when
      * none is in flight (absent or already completed by @p now).
-     * The pointer is valid until the next call on the table.
+     * The pointer is valid until the next call on the table. The
+     * scan reads every entry without an early exit.
      */
     const Cycles *
     find(std::uint64_t key, Cycles now)
@@ -41,17 +42,15 @@ class PendingTable
             entries_.clear();
             return nullptr;
         }
-        for (std::size_t i = 0; i < entries_.size();) {
-            Entry &e = entries_[i];
-            if (e.until <= now) {
-                drop(i);
-                continue;
-            }
-            if (e.key == key)
-                return &e.until;
-            ++i;
+        const Entry *entries = entries_.data();
+        const std::size_t n = entries_.size();
+        const Entry *found = nullptr;
+        for (std::size_t i = 0; i < n; ++i) {
+            const bool live = (entries[i].key == key) &
+                (entries[i].until > now);
+            found = live ? &entries[i] : found;
         }
-        return nullptr;
+        return found ? &found->until : nullptr;
     }
 
     /**

@@ -39,14 +39,20 @@ class ResourceSet
     Cycles
     acquire(Cycles earliest)
     {
+        // Earliest-free server, first on ties; a select, not a
+        // branch, per server.
+        Cycles *busy = busyUntil_.data();
+        const std::size_t n = busyUntil_.size();
         std::size_t best = 0;
-        for (std::size_t i = 1; i < busyUntil_.size(); ++i) {
-            if (busyUntil_[i] < busyUntil_[best])
-                best = i;
+        Cycles best_until = busy[0];
+        for (std::size_t i = 1; i < n; ++i) {
+            const bool earlier = busy[i] < best_until;
+            best = earlier ? i : best;
+            best_until = earlier ? busy[i] : best_until;
         }
         const Cycles start =
-            busyUntil_[best] > earliest ? busyUntil_[best] : earliest;
-        busyUntil_[best] = start + occupancy_;
+            best_until > earliest ? best_until : earliest;
+        busy[best] = start + occupancy_;
         grants_ += 1;
         waitCycles_ += start - earliest;
         return start;

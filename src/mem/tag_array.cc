@@ -20,27 +20,23 @@ TagArray::TagArray(int sets, int ways)
 }
 
 int
-TagArray::victimOf(std::uint64_t key) const
-{
-    const int first = setOf(key) * ways_;
-    int victim = first;
-    for (int line = first; line < first + ways_; ++line) {
-        if (keys_[std::size_t(line)] == kEmpty)
-            return line;
-        if (lastUse_[std::size_t(line)] < lastUse_[std::size_t(victim)])
-            victim = line;
-    }
-    return victim;
-}
-
-int
 TagArray::insert(std::uint64_t key, std::uint64_t *evicted_key,
                  bool *did_evict)
 {
     vliw_assert(key != kEmpty, "insert of the reserved empty key");
-    vliw_assert(probe(key) == kNoLine,
-                "insert of already-present key");
-    const int victim = victimOf(key);
+    const int first = setOf(key) * ways_;
+    bool present = false;
+    int empty = kNoLine;
+    int lru = first;
+    for (int line = first; line < first + ways_; ++line) {
+        const std::uint64_t k = keys_[std::size_t(line)];
+        present |= k == key;
+        empty = empty == kNoLine && k == kEmpty ? line : empty;
+        lru = lastUse_[std::size_t(line)] < lastUse_[std::size_t(lru)]
+            ? line : lru;
+    }
+    vliw_assert(!present, "insert of already-present key");
+    const int victim = empty != kNoLine ? empty : lru;
     const std::size_t v = std::size_t(victim);
     const bool valid = keys_[v] != kEmpty;
 

@@ -57,16 +57,13 @@ class TagArray
     }
 
     /**
-     * Insert @p key, evicting the set's LRU line if needed.
+     * Insert @p key into the set's first empty line, else over its
+     * LRU line, in one scan of the set.
      * @param evicted_key set to the displaced key (if any).
      * @return the line handle; asserts the key is not yet present.
      */
     int insert(std::uint64_t key, std::uint64_t *evicted_key = nullptr,
                bool *did_evict = nullptr);
-
-    /** The line insert(@p key) would claim (invalid-first, else
-     *  LRU); lets protocol caches inspect the victim beforehand. */
-    int victimOf(std::uint64_t key) const;
 
     /** Drop @p key if present; true when something was removed. */
     bool invalidate(std::uint64_t key);
