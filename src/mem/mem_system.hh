@@ -34,7 +34,12 @@ class MemSystem
   public:
     virtual ~MemSystem() = default;
 
-    /** Perform one access; requests arrive in time order. */
+    /**
+     * Perform one access; requests arrive in time order. Every
+     * access is recorded in stats() once, under its class (and in
+     * abHits when served by an Attraction Buffer): the simulator
+     * takes its access counts from there.
+     */
     virtual MemAccessResult access(const MemRequest &req) = 0;
 
     /**

@@ -18,6 +18,17 @@
  *    hot loop touches only flat arrays; once the workspace is warm
  *    it performs no heap allocation at all.
  *
+ * Addresses and memory models. run() binds one AddressStream per
+ * memory item per run (from an AddressResolver, or a function
+ * called once per iteration) and fills the addresses of kBlock
+ * waves at a time into a flat block, so one access costs a load.
+ * The wave loop is a single template over the memory model type,
+ * chosen once per run: the three cache organisations are final
+ * classes with access() in their headers and compile into the loop;
+ * any other MemSystem takes the same loop through its virtual call.
+ * The per-run stream state lives in the workspace, which is one
+ * more reason a workspace serves one thread.
+ *
  * Run plan. Only loads carry an unknown delay; compute ops, stores
  * and register copies have fixed latencies. The first run() of a
  * kernel at a given register-bus latency builds a plan, kept for
@@ -49,8 +60,8 @@
  * within every wave is the fixed sequence sorted by (r asc, s desc,
  * item asc), which equals the seed's heap pop order (nominal, iter,
  * item) exactly. prepare() sorts that sequence once and run() just
- * walks it, skipping the few out-of-range instances in the fill and
- * drain waves.
+ * walks it; only the fill and drain waves (the first and last
+ * maxStage) test for out-of-range instances.
  *
  * Instance rings hold one row per item that a checked operand
  * reads, sized to the plan's own checked distances and the stage

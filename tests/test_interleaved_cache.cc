@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "mem/interleaved_cache.hh"
 
 namespace vliw {
@@ -239,6 +242,32 @@ TEST_F(InterleavedAbTest, AbHitsCountAsLocalInStats)
     // LocalMiss (warm-up) + RemoteHit (attract) + LocalHit (AB).
     EXPECT_EQ(stats.classCount(AccessClass::LocalHit), 1u);
     EXPECT_EQ(stats.classCount(AccessClass::RemoteHit), 1u);
+}
+
+TEST_F(InterleavedCacheTest, BlockCrossingAccessPanics)
+{
+    // The check derives the in-block offset from the block number;
+    // it must still refuse an element that straddles two blocks,
+    // for every block size, and accept one that ends on the edge.
+    for (const int block : {32, 64}) {
+        MachineConfig c = cfg;
+        c.blockBytes = block;
+        InterleavedCache cache(c);
+        const std::uint64_t edge = 3 * std::uint64_t(block);
+        EXPECT_NO_THROW(cache.access(req(0, edge - 8, 10, false, 8)));
+        for (const std::uint64_t addr : {edge - 4, edge - 2, edge - 1}) {
+            try {
+                cache.access(req(0, addr, 20, false, 8));
+                ADD_FAILURE() << "no panic at " << addr << ", block "
+                              << block;
+            } catch (const std::logic_error &err) {
+                EXPECT_NE(std::string(err.what()).find(
+                              "access crosses a cache-block boundary"),
+                          std::string::npos)
+                    << err.what();
+            }
+        }
+    }
 }
 
 } // namespace

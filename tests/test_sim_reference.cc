@@ -8,6 +8,9 @@
  *    seeds, against the real memory models;
  *  - a schedule that violates a compute latency still panics, so
  *    the run plan never hides an illegal schedule;
+ *  - the same on addresses from an AddressResolver over a real
+ *    DataSet (strided, wrapping and indirect streams), the source
+ *    the toolchain binds;
  *  - one prepared kernel run under two register-bus latencies gives
  *    the same results (or the same panic) as fresh workspaces.
  */
@@ -26,6 +29,8 @@
 #include "sched/scheduler.hh"
 #include "sim/sim_workspace.hh"
 #include "util_random_ddg.hh"
+#include "workloads/address_gen.hh"
+#include "workloads/dataset.hh"
 
 namespace vliw {
 namespace {
@@ -214,6 +219,84 @@ TEST(SimReference, WorkspaceMatchesReferenceOnRandomLoops)
     EXPECT_GT(total.stallCycles, 0);
     EXPECT_GT(total.stallByClass[std::size_t(AccessClass::RemoteHit)], 0);
     EXPECT_GT(total.dynamicCopies, 0u);
+}
+
+/** Two invocations with addresses from @p addr: the workspace
+ *  binds the resolver's streams, the reference calls addressOf(). */
+std::string
+runResolved(SimWorkspace *ws, int kernel, const Compiled &c,
+            AddressResolver &addr, const MachineConfig &cfg)
+{
+    const auto mem = makeMemSystem(cfg);
+    std::string out;
+    Cycles clock = 0;
+    for (int inv = 0; inv < 2; ++inv) {
+        addr.setInvocation(inv);
+        LoopExecution e = execution(c, 0, clock);
+        e.addressOf = [&addr](NodeId v, std::int64_t iter) {
+            return addr.addressOf(v, iter);
+        };
+        LoopSimResult r;
+        if (ws) {
+            SimRunParams params;
+            params.profile = e.profile;
+            params.iterations = e.iterations;
+            params.startCycle = e.startCycle;
+            const SimRunResult w =
+                ws->run(kernel, params, AddressSource(addr), *mem, cfg);
+            r = {w.stats, w.endCycle};
+        } else {
+            r = referenceSimulate(e, *mem, cfg);
+        }
+        out += show(r.stats) + " end=" + std::to_string(r.endCycle) +
+            "\n";
+        clock = r.endCycle;
+        mem->loopBoundary();
+    }
+    return out;
+}
+
+TEST(SimReference, WorkspaceMatchesReferenceOnResolverAddresses)
+{
+    // The toolchain's own address source: an AddressResolver over a
+    // real DataSet. A 4 KiB symbol keeps strided walks unwrapped, a
+    // 64-byte one wraps them every few iterations and is narrower
+    // than the indirect ops' index range; aligned and unaligned
+    // layouts and an invocation stride move the bases.
+    SimWorkspace ws;
+    SimStats total;
+    int compared = 0;
+    for (const char *arch : kArchs) {
+        const MachineConfig cfg = archConfig(arch);
+        for (const std::int64_t size : {4096, 64}) {
+            BenchmarkSpec bench;
+            bench.name = "resolved";
+            bench.addSymbol("data", size, SymbolSpec::Storage::Heap);
+            for (int seed = 1; seed <= kLoops / 2; ++seed) {
+                Compiled c = compileRandom(seed, cfg, Heuristic::Ipbc);
+                for (const NodeId v : c.loop.ddg.memNodes()) {
+                    MemAccessInfo &info = c.loop.ddg.memInfo(v);
+                    info.invocationStride = 3 * info.granularity;
+                }
+                ws.clearKernels();
+                const int kernel = ws.prepare(c.loop.ddg, c.schedule,
+                                              c.latencies);
+                for (const bool aligned : {true, false}) {
+                    const DataSet ds = makeDataSet(
+                        bench, cfg, std::uint64_t(seed), aligned);
+                    AddressResolver addr(c.loop.ddg, bench, ds);
+                    const std::string want =
+                        runResolved(nullptr, -1, c, addr, cfg);
+                    ASSERT_EQ(runResolved(&ws, kernel, c, addr, cfg),
+                              want)
+                        << arch << " loop " << seed << " symbol " << size
+                        << " aligned " << aligned;
+                    ++compared;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 5 * 2 * (kLoops / 2) * 2);
 }
 
 TEST(SimReference, ViolatedComputeLatencyStillPanics)

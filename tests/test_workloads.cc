@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <random>
+#include <vector>
+
 #include "ddg/chains.hh"
 #include "sched/unroll_policy.hh"
+#include "sim/sim_workspace.hh"
 #include "ddg/unroll.hh"
 #include "workloads/address_gen.hh"
 #include "workloads/dataset.hh"
@@ -184,6 +190,105 @@ TEST(AddressResolver, InvocationStrideShiftsBase)
     const std::uint64_t a0 = addr.addressOf(ld, 0);
     addr.setInvocation(1);
     EXPECT_EQ(addr.addressOf(ld, 0), a0 + 24);
+}
+
+TEST(AddressResolver, StreamsEqualAddressOf)
+{
+    // Random access descriptions: negative, zero and symbol-sized
+    // offsets and strides, unroll factors and phases, invocation
+    // strides, and indirect walks with and without an index range
+    // (including ranges wider than the symbol). The stream the
+    // simulator binds must read exactly addressOf() at every
+    // iteration, over several invocations and symbol wraps, however
+    // its fills are blocked.
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    const BenchmarkSpec b = tinyBench();
+    const DataSet ds = makeDataSet(b, cfg, 11, false);
+    std::mt19937_64 rng(2024);
+    auto pick = [&](std::int64_t lo, std::int64_t hi) {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+    };
+    const int grans[] = {1, 2, 4, 8};
+
+    Ddg g;
+    std::vector<NodeId> nodes;
+    for (int n = 0; n < 200; ++n) {
+        MemAccessInfo info;
+        info.granularity = grans[pick(0, 3)];
+        info.symbol = int(pick(0, 2));
+        const std::int64_t size = ds.wrapSize[std::size_t(info.symbol)];
+        info.offset = pick(-2 * size, 2 * size);
+        info.unrollFactor = int(pick(1, 8));
+        info.unrollPhase = int(pick(0, info.unrollFactor - 1));
+        info.invocationStride = pick(0, 3) == 0 ? 0 : pick(-size, size);
+        if (pick(0, 3) == 0) {
+            info.indirect = true;
+            info.stride = MemAccessInfo::kUnknownStride;
+            const std::int64_t ranges[] = {0, 1, 64, 100, 4 * size};
+            info.indexRange = ranges[pick(0, 4)];
+        } else {
+            const std::int64_t strides[] = {0, pick(-64, 64), size,
+                                            -size, pick(-3 * size,
+                                                        3 * size)};
+            info.stride = strides[pick(0, 4)];
+        }
+        info.isStore = pick(0, 1) == 1;
+        nodes.push_back(g.addMemNode(
+            info.isStore ? OpKind::Store : OpKind::Load, info));
+    }
+
+    AddressResolver addr(g, b, ds);
+    std::int64_t wraps = 0;
+    for (const NodeId v : nodes) {
+        const MemAccessInfo &info = g.memInfo(v);
+        const std::int64_t size = ds.wrapSize[std::size_t(info.symbol)];
+        const std::int64_t step = info.indirect
+            ? info.granularity
+            : std::max<std::int64_t>(
+                  1, std::abs(info.stride * info.unrollFactor) % size);
+        // At least two wraps of the symbol (or 64 iterations).
+        const std::int64_t iterations =
+            std::max<std::int64_t>(64, 2 * size / step + 2);
+        for (int inv = 0; inv < 3; ++inv) {
+            addr.setInvocation(inv);
+            AddressStream stream = AddressSource(addr).stream(v);
+            std::vector<std::uint64_t> got(static_cast<std::size_t>(iterations));
+            for (std::int64_t done = 0; done < iterations;) {
+                const std::int64_t n =
+                    std::min(iterations - done, pick(1, 17));
+                stream.fill(got.data() + done, 1, n);
+                done += n;
+            }
+            for (std::int64_t i = 0; i < iterations; ++i) {
+                ASSERT_EQ(got[std::size_t(i)], addr.addressOf(v, i))
+                    << "node " << v << " invocation " << inv
+                    << " iteration " << i;
+                wraps += i > 0 &&
+                    got[std::size_t(i)] < got[std::size_t(i - 1)];
+            }
+        }
+    }
+    EXPECT_GT(wraps, 1000);
+}
+
+TEST(AddressResolver, StreamsFillStridedColumns)
+{
+    // run() fills one column of a wave-major block per memory item.
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    BenchmarkSpec b = tinyBench();
+    KernelBuilder kb("cols");
+    const NodeId ld = kb.load(0, 4, 12, {.offset = -8}, "ld");
+    LoopSpec loop = kb.take(64, 1);
+    const DataSet ds = makeDataSet(b, cfg, 3, true);
+    AddressResolver addr(loop.body, b, ds);
+    AddressStream stream = addr.stream(ld);
+    std::vector<std::uint64_t> block(3 * 40, 0);
+    stream.fill(block.data() + 1, 3, 40);
+    for (std::int64_t i = 0; i < 40; ++i) {
+        EXPECT_EQ(block[std::size_t(3 * i + 1)], addr.addressOf(ld, i));
+        EXPECT_EQ(block[std::size_t(3 * i)], 0u);
+        EXPECT_EQ(block[std::size_t(3 * i + 2)], 0u);
+    }
 }
 
 TEST(Profiler, SmallTableHitsAndPreferredCluster)
