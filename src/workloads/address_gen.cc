@@ -32,6 +32,14 @@ AddressResolver::AddressResolver(const Ddg &ddg,
         OpGen gen;
         gen.base = ds.symbolBase[std::size_t(info.symbol)];
         gen.symSize = ds.wrapSize[std::size_t(info.symbol)];
+        gen.sizePow2 = isPowerOfTwo(std::uint64_t(gen.symSize));
+        if (info.indirect) {
+            gen.range = std::uint64_t(info.indexRange > 0
+                ? info.indexRange
+                : std::max<std::int64_t>(
+                      1, gen.symSize / info.granularity));
+            gen.rangePow2 = isPowerOfTwo(gen.range);
+        }
         gen.streamSeed = mix(ds.seed ^ (std::uint64_t(v) << 32) ^
                              std::uint64_t(info.symbol));
         gen.info = &info;
@@ -52,13 +60,9 @@ AddressResolver::addressOf(NodeId v, std::int64_t iter) const
 
     std::int64_t linear;
     if (info.indirect) {
-        const std::int64_t range = info.indexRange > 0
-            ? info.indexRange
-            : std::max<std::int64_t>(1,
-                                     gen.symSize / info.granularity);
+        const std::uint64_t h = mix(gen.streamSeed + std::uint64_t(gi));
         const std::int64_t idx = std::int64_t(
-            mix(gen.streamSeed + std::uint64_t(gi)) %
-            std::uint64_t(range));
+            gen.rangePow2 ? h & (gen.range - 1) : h % gen.range);
         linear = info.offset + idx * info.granularity;
     } else {
         linear = info.offset + gi * info.stride;
@@ -66,8 +70,12 @@ AddressResolver::addressOf(NodeId v, std::int64_t iter) const
     linear += std::int64_t(invocation_) * info.invocationStride;
 
     // Wrap inside the symbol; sizes are padded to the mapping
-    // period so wrapping never changes the home cluster pattern.
-    const std::int64_t wrapped = positiveMod(linear, gen.symSize);
+    // period so wrapping never changes the home cluster pattern. A
+    // power-of-two size wraps with a mask, which in two's complement
+    // is positiveMod for negative indices too.
+    const std::int64_t wrapped = gen.sizePow2
+        ? linear & (gen.symSize - 1)
+        : positiveMod(linear, gen.symSize);
     return gen.base + std::uint64_t(wrapped);
 }
 
@@ -89,11 +97,8 @@ AddressResolver::stream(NodeId v) const
             positiveMod(info.offset + invocation_shift, gen.symSize));
         s.step_ = std::uint64_t(info.granularity);
         s.seed_ = gen.streamSeed;
-        s.range_ = std::uint64_t(info.indexRange > 0
-            ? info.indexRange
-            : std::max<std::int64_t>(1,
-                                     gen.symSize / info.granularity));
-        s.rangePow2_ = isPowerOfTwo(s.range_);
+        s.range_ = gen.range;
+        s.rangePow2_ = gen.rangePow2;
         s.index_ = info.unrollPhase;
         s.unroll_ = info.unrollFactor;
     } else {

@@ -110,6 +110,12 @@ class AddressResolver
     {
         std::uint64_t base = 0;
         std::int64_t symSize = 0;
+        /** symSize is a power of two: wrap with a mask. */
+        bool sizePow2 = false;
+        /** Indirect: the index range, and whether it is a power of
+         *  two (draw with a mask). */
+        bool rangePow2 = false;
+        std::uint64_t range = 1;
         std::uint64_t streamSeed = 0;
         const MemAccessInfo *info = nullptr;
     };

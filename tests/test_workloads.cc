@@ -202,7 +202,13 @@ TEST(AddressResolver, StreamsEqualAddressOf)
     // iteration, over several invocations and symbol wraps, however
     // its fills are blocked.
     const MachineConfig cfg = MachineConfig::paperInterleaved();
-    const BenchmarkSpec b = tinyBench();
+    // Power-of-two and other wrap sizes: addressOf masks the first
+    // and divides for the second.
+    BenchmarkSpec b;
+    b.name = "streams";
+    b.addSymbol("pow2", 1024, SymbolSpec::Storage::Heap);
+    b.addSymbol("odd", 100, SymbolSpec::Storage::Global);
+    b.addSymbol("even", 240, SymbolSpec::Storage::Stack);
     const DataSet ds = makeDataSet(b, cfg, 11, false);
     std::mt19937_64 rng(2024);
     auto pick = [&](std::int64_t lo, std::int64_t hi) {
