@@ -296,6 +296,9 @@ SimWorkspace::buildPlan(const Kernel &k, Plan &plan)
     plan.ringMask = depth - 1;
 }
 
+// flatten: the models' access() bodies are too large for the
+// inliner's default budget, and compiling them into the loop is
+// the point of the per-model instantiation.
 template <class Mem>
 [[gnu::flatten]] Cycles
 SimWorkspace::walk(Kernel &k, const Plan &plan,
