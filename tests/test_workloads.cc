@@ -200,7 +200,8 @@ TEST(AddressResolver, StreamsEqualAddressOf)
     // (including ranges wider than the symbol). The stream the
     // simulator binds must read exactly addressOf() at every
     // iteration, over several invocations and symbol wraps, however
-    // its fills are blocked.
+    // its fills are blocked, and into every column of a strided
+    // block (as run() lays them out) without touching the others.
     const MachineConfig cfg = MachineConfig::paperInterleaved();
     // Power-of-two and other wrap sizes: addressOf masks the first
     // and divides for the second.
@@ -258,43 +259,31 @@ TEST(AddressResolver, StreamsEqualAddressOf)
         for (int inv = 0; inv < 3; ++inv) {
             addr.setInvocation(inv);
             AddressStream stream = AddressSource(addr).stream(v);
-            std::vector<std::uint64_t> got(static_cast<std::size_t>(iterations));
+            const std::size_t columns = std::size_t(pick(1, 3));
+            const std::size_t column = std::size_t(pick(0, 2)) % columns;
+            std::vector<std::uint64_t> block(
+                std::size_t(iterations) * columns, 0);
             for (std::int64_t done = 0; done < iterations;) {
                 const std::int64_t n =
                     std::min(iterations - done, pick(1, 17));
-                stream.fill(got.data() + done, 1, n);
+                stream.fill(block.data() + std::size_t(done) * columns +
+                                column,
+                            columns, n);
                 done += n;
             }
             for (std::int64_t i = 0; i < iterations; ++i) {
-                ASSERT_EQ(got[std::size_t(i)], addr.addressOf(v, i))
+                const std::size_t row = std::size_t(i) * columns;
+                ASSERT_EQ(block[row + column], addr.addressOf(v, i))
                     << "node " << v << " invocation " << inv
                     << " iteration " << i;
+                for (std::size_t c = 0; c < columns; ++c)
+                    ASSERT_TRUE(c == column || block[row + c] == 0);
                 wraps += i > 0 &&
-                    got[std::size_t(i)] < got[std::size_t(i - 1)];
+                    block[row + column] < block[row - columns + column];
             }
         }
     }
     EXPECT_GT(wraps, 1000);
-}
-
-TEST(AddressResolver, StreamsFillStridedColumns)
-{
-    // run() fills one column of a wave-major block per memory item.
-    const MachineConfig cfg = MachineConfig::paperInterleaved();
-    BenchmarkSpec b = tinyBench();
-    KernelBuilder kb("cols");
-    const NodeId ld = kb.load(0, 4, 12, {.offset = -8}, "ld");
-    LoopSpec loop = kb.take(64, 1);
-    const DataSet ds = makeDataSet(b, cfg, 3, true);
-    AddressResolver addr(loop.body, b, ds);
-    AddressStream stream = addr.stream(ld);
-    std::vector<std::uint64_t> block(3 * 40, 0);
-    stream.fill(block.data() + 1, 3, 40);
-    for (std::int64_t i = 0; i < 40; ++i) {
-        EXPECT_EQ(block[std::size_t(3 * i + 1)], addr.addressOf(ld, i));
-        EXPECT_EQ(block[std::size_t(3 * i)], 0u);
-        EXPECT_EQ(block[std::size_t(3 * i + 2)], 0u);
-    }
 }
 
 TEST(Profiler, SmallTableHitsAndPreferredCluster)
