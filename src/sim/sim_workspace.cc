@@ -450,16 +450,14 @@ SimWorkspace::walk(Kernel &k, const Plan &plan,
                     mems, last - first);
             }
         }
-        const std::int64_t lo =
-            std::clamp<std::int64_t>(k.maxStage, w0, w1);
-        const std::int64_t hi = std::clamp(iterations, lo, w1);
-        std::int64_t w = w0;
-        for (; w < lo; ++w)
-            wave(w, block + std::size_t(w - w0) * mems, std::true_type{});
-        for (; w < hi; ++w)
-            wave(w, block + std::size_t(w - w0) * mems, std::false_type{});
-        for (; w < w1; ++w)
-            wave(w, block + std::size_t(w - w0) * mems, std::true_type{});
+        for (std::int64_t w = w0; w < w1; ++w) {
+            const std::uint64_t *addrs =
+                block + std::size_t(w - w0) * mems;
+            if (w < k.maxStage || w >= iterations)
+                wave(w, addrs, std::true_type{});
+            else
+                wave(w, addrs, std::false_type{});
+        }
     }
     return offset;
 }
