@@ -92,6 +92,7 @@
 #include "mem/mem_system.hh"
 #include "sched/schedule.hh"
 #include "sim/sim_stats.hh"
+#include "support/logging.hh"
 #include "workloads/address_gen.hh"
 
 namespace vliw {
@@ -116,6 +117,7 @@ struct AddressSource
     AddressStream
     stream(NodeId v) const
     {
+        vliw_assert(resolver || fn, "unbound address source");
         return resolver ? resolver->stream(v)
                         : AddressStream::function(fn, ctx, v);
     }
