@@ -7,9 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
+#include <sstream>
+
+#include "api/registries.hh"
 #include "core/toolchain.hh"
 #include "sched/schedule.hh"
 #include "support/stats.hh"
+#include "util_golden.hh"
+#include "util_random_ddg.hh"
+#include "util_schedule_digest.hh"
 
 namespace vliw {
 namespace {
@@ -120,6 +128,211 @@ TEST(Toolchain, SelectiveUnrollingNeverLosesToFixedPolicies)
                     sel.unrollFactor == 16)
             << loop.name << " factor " << sel.unrollFactor;
     }
+}
+
+// ---- Selective unrolling against an exhaustive reference ----
+
+/** What selective unrolling decides for one loop. */
+struct UnrollChoice
+{
+    int factor = 0;
+    int ii = 0;
+    int stageCount = 0;
+    std::uint64_t digest = 0;
+
+    bool operator==(const UnrollChoice &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const UnrollChoice &c)
+{
+    return os << "uf=" << c.factor << " ii=" << c.ii
+              << " sc=" << c.stageCount << " digest=" << c.digest;
+}
+
+UnrollChoice
+choiceOf(const CompiledLoop &loop)
+{
+    return {loop.unrollFactor, loop.sched.schedule.ii,
+            loop.sched.schedule.stageCount,
+            testutil::digestSchedule(loop.sched.schedule)};
+}
+
+/**
+ * The selective choice by brute force: compile @p loop under each
+ * fixed policy (none, xN, OUF) and keep the first minimum of
+ * estimateTexec in that order, over the policies that compile.
+ */
+struct ExhaustiveChoice
+{
+    std::optional<UnrollChoice> best;
+    /** Some policy threw CompileError. */
+    bool anyFailed = false;
+};
+
+ExhaustiveChoice
+exhaustiveChoice(const MachineConfig &cfg, ToolchainOptions opts,
+                 const BenchmarkSpec &bench, const LoopSpec &loop)
+{
+    ExhaustiveChoice out;
+    double best_cost = 0.0;
+    for (UnrollPolicy policy : {UnrollPolicy::None,
+                                UnrollPolicy::TimesN,
+                                UnrollPolicy::Ouf}) {
+        opts.unroll = policy;
+        try {
+            const CompiledLoop compiled =
+                Toolchain(cfg, opts).compileLoop(bench, loop);
+            const double cost = estimateTexec(
+                double(loop.avgIterations), compiled.unrollFactor,
+                compiled.sched.schedule.stageCount,
+                compiled.sched.schedule.ii);
+            if (!out.best || cost < best_cost) {
+                out.best = choiceOf(compiled);
+                best_cost = cost;
+            }
+        } catch (const CompileError &) {
+            out.anyFailed = true;
+        }
+    }
+    return out;
+}
+
+/**
+ * Selective unrolling must pick the exhaustive choice. A candidate
+ * that fails to compile may only be skipped when its bound already
+ * lost, so a selective compile that throws needs a failing policy,
+ * and one that succeeds is the first minimum of the others. Returns
+ * how many loops compiled.
+ */
+int
+expectSelectiveMatchesExhaustive(const MachineConfig &cfg,
+                                 const ToolchainOptions &opts,
+                                 const BenchmarkSpec &bench,
+                                 const std::string &label)
+{
+    int compiled = 0;
+    const Toolchain chain(cfg, opts);
+    for (const LoopSpec &loop : bench.loops) {
+        const ExhaustiveChoice want =
+            exhaustiveChoice(cfg, opts, bench, loop);
+        try {
+            const UnrollChoice got =
+                choiceOf(chain.compileLoop(bench, loop));
+            EXPECT_TRUE(want.best) << label << "/" << loop.name;
+            if (want.best) {
+                EXPECT_EQ(got, *want.best)
+                    << label << "/" << loop.name;
+            }
+            ++compiled;
+        } catch (const CompileError &e) {
+            EXPECT_TRUE(want.anyFailed)
+                << label << "/" << loop.name << ": " << e.what();
+        }
+    }
+    return compiled;
+}
+
+TEST(SelectiveUnroll, BuiltinsMatchExhaustiveReference)
+{
+    const api::Registries &reg = api::builtinRegistries();
+    for (const std::string &arch : reg.archs.names()) {
+        const MachineConfig cfg = reg.archs.resolve(arch).value();
+        for (Heuristic h : {Heuristic::Base, Heuristic::Ipbc}) {
+            for (const BenchmarkSpec &bench : mediabenchSuite()) {
+                EXPECT_EQ(std::size_t(expectSelectiveMatchesExhaustive(
+                    cfg, baseOptions(h), bench,
+                    arch + "/" + heuristicName(h) + "/" + bench.name)),
+                    bench.loops.size());
+            }
+        }
+    }
+}
+
+TEST(SelectiveUnroll, RandomLoopsMatchExhaustiveReference)
+{
+    // Trip counts divisible by every candidate factor (powers of two
+    // up to the mapping period), short and long so that both the
+    // unrolled and the plain bodies win some loops. Bodies stay small:
+    // unrolling multiplies the circuits of a dense random graph past
+    // findCircuits' cap.
+    const std::int64_t trips[] = {16, 64, 256, 4096};
+    testutil::RandomDdgOptions shape;
+    shape.minNodes = 4;
+    shape.maxNodes = 10;
+    shape.backEdgeChance = 0.15;
+    shape.maxDistance = 2;
+    const api::Registries &reg = api::builtinRegistries();
+    const std::vector<std::string> &archs = reg.archs.names();
+    int compiled = 0;
+    for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        const std::string &arch = archs[seed % archs.size()];
+        const MachineConfig cfg = reg.archs.resolve(arch).value();
+        BenchmarkSpec bench;
+        bench.name = "random" + std::to_string(seed);
+        bench.addSymbol("a", 4096, SymbolSpec::Storage::Heap);
+        LoopSpec loop;
+        loop.name = "loop";
+        loop.body =
+            testutil::makeRandomLoop(seed, cfg.numClusters, shape).ddg;
+        loop.avgIterations = trips[seed % 4];
+        loop.invocations = 2;
+        bench.loops.push_back(std::move(loop));
+        compiled += expectSelectiveMatchesExhaustive(
+            cfg, baseOptions(seed % 2 ? Heuristic::Ipbc
+                                      : Heuristic::Base),
+            bench, arch + "/" + bench.name);
+    }
+    // Nearly every generated loop schedules, so the comparison
+    // above is not vacuous.
+    EXPECT_GE(compiled, 45);
+}
+
+// ---- Attraction Buffer hints, pinned byte for byte ----
+
+#ifndef WIVLIW_GOLDEN_DIR
+#define WIVLIW_GOLDEN_DIR "tests/golden"
+#endif
+
+TEST(AbHintsGolden, HintedCompilesMatchGolden)
+{
+    // No CLI flag reaches the hints, so this is their only golden:
+    // per loop the attractable flag of every memory node (1/0 in
+    // node order, '-' for a store) and the schedule, plus the
+    // simulated cycles the hints steer.
+    const MachineConfig cfg = MachineConfig::paperInterleavedAb();
+    ToolchainOptions opts = baseOptions(Heuristic::Ipbc);
+    opts.abHints = true;
+    const Toolchain chain(cfg, opts);
+    std::ostringstream os;
+    for (const BenchmarkSpec &bench : mediabenchSuite()) {
+        const CompiledBenchmark compiled =
+            chain.compileBenchmark(bench);
+        for (const CompiledLoopVersions &v : compiled.loops) {
+            const CompiledLoop &loop = v.primary;
+            std::string flags;
+            for (NodeId n : loop.ddg.memNodes()) {
+                flags += loop.ddg.node(n).kind == OpKind::Store
+                    ? '-'
+                    : loop.ddg.memInfo(n).attractable ? '1' : '0';
+            }
+            char digest[32];
+            std::snprintf(digest, sizeof(digest), "%016llx",
+                          static_cast<unsigned long long>(
+                              testutil::digestSchedule(
+                                  loop.sched.schedule)));
+            os << bench.name << ' ' << loop.name
+               << " uf=" << loop.unrollFactor
+               << " ii=" << loop.sched.schedule.ii
+               << " attract=" << flags << " sched=" << digest
+               << '\n';
+        }
+        os << bench.name << " cycles="
+           << chain.simulateBenchmark(bench, compiled).cycles()
+           << '\n';
+    }
+    testutil::expectMatchesGolden(WIVLIW_GOLDEN_DIR "/ab_hints.txt",
+                                  os.str());
 }
 
 // ---- Paper-shape integration checks (Figures 4, 6, 8) ----
