@@ -131,7 +131,7 @@ BM_SmsOrder(benchmark::State &state)
     const LatencyMap lat(loop.ddg, 5);
     int mii = 1;
     for (const Circuit &c : circuits)
-        mii = std::max(mii, c.recurrenceIi(loop.ddg, lat));
+        mii = std::max(mii, c.recurrenceIi(lat));
     for (auto _ : state) {
         benchmark::DoNotOptimize(
             smsOrder(loop.ddg, circuits, lat, mii));

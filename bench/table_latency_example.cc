@@ -63,8 +63,8 @@ main()
     const Circuit *rec1 = nullptr;
     for (const Circuit &c : circuits) {
         if (c.contains(ex.n1) &&
-            (!rec1 || c.recurrenceIi(ex.ddg, current) >
-                 rec1->recurrenceIi(ex.ddg, current)))
+            (!rec1 || c.recurrenceIi(current) >
+                 rec1->recurrenceIi(current)))
             rec1 = &c;
     }
     printBenefitTable(ex.ddg,
@@ -139,7 +139,7 @@ main()
         int max_ii = 1;
         for (const Circuit &c : circuits) {
             max_ii = std::max(max_ii,
-                              c.recurrenceIi(ex.ddg, lat));
+                              c.recurrenceIi(lat));
         }
         double stall = 0.0;
         for (NodeId v : ex.ddg.memNodes()) {

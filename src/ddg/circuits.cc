@@ -10,28 +10,27 @@
 namespace vliw {
 
 int
-Circuit::latencySum(const Ddg &ddg, const LatencyMap &lat) const
+Circuit::latencySum(const LatencyMap &lat) const
 {
-    int sum = 0;
-    for (int e : edgeIdxs)
-        sum += edgeLatency(ddg, ddg.edge(e), lat);
+    int sum = fixedLatency;
+    for (NodeId v : flowSources)
+        sum += lat(v);
     return sum;
 }
 
 int
-Circuit::recurrenceIi(const Ddg &ddg, const LatencyMap &lat) const
+Circuit::iiForSum(int latency_sum) const
 {
     vliw_assert(totalDistance > 0, "circuit with zero distance");
-    return int(ceilDiv(latencySum(ddg, lat), totalDistance));
+    return int(ceilDiv(latency_sum, totalDistance));
 }
 
 std::vector<int>
-recurrenceIis(const Ddg &ddg, const std::vector<Circuit> &circuits,
-              const LatencyMap &lat)
+recurrenceIis(const std::vector<Circuit> &circuits, const LatencyMap &lat)
 {
     std::vector<int> iis(circuits.size());
     for (std::size_t i = 0; i < circuits.size(); ++i)
-        iis[i] = circuits[i].recurrenceIi(ddg, lat);
+        iis[i] = circuits[i].recurrenceIi(lat);
     return iis;
 }
 
@@ -244,8 +243,14 @@ class JohnsonCircuits
         c.nodes = pathNodes_;
         c.edgeIdxs = pathEdges_;
         c.edgeIdxs.push_back(closing_edge);
-        for (int eidx : c.edgeIdxs)
-            c.totalDistance += ddg_.edge(eidx).distance;
+        for (int eidx : c.edgeIdxs) {
+            const DdgEdge &e = ddg_.edge(eidx);
+            c.totalDistance += e.distance;
+            if (e.kind == DepKind::RegFlow)
+                c.flowSources.push_back(e.src);
+            else
+                c.fixedLatency += fixedEdgeLatency(e.kind);
+        }
         if (c.totalDistance == 0) {
             // A same-iteration cycle is a malformed user loop body
             // (anything the builder layers emit is acyclic within

@@ -14,7 +14,12 @@
 
 namespace vliw {
 
-/** One elementary circuit (recurrence) of the DDG. */
+/**
+ * One elementary circuit (recurrence) of the DDG. findCircuits()
+ * also splits its latency sum into the part no latency assignment
+ * can change and the producers whose assigned latency it adds, so
+ * latencySum() is a few integer adds.
+ */
 struct Circuit
 {
     /** Edge indices (into Ddg::edges()) in circuit order. */
@@ -23,24 +28,33 @@ struct Circuit
     std::vector<NodeId> nodes;
     /** Total iteration distance around the circuit (> 0). */
     int totalDistance = 0;
+    /** Sum of fixedEdgeLatency() over the circuit's edges. */
+    int fixedLatency = 0;
+    /** Source of each RegFlow edge, in circuit order. */
+    std::vector<NodeId> flowSources;
 
     /** Sum of edge latencies under @p lat. */
-    int latencySum(const Ddg &ddg, const LatencyMap &lat) const;
+    int latencySum(const LatencyMap &lat) const;
 
     /** II this recurrence alone imposes: ceil(latSum / distSum). */
-    int recurrenceIi(const Ddg &ddg, const LatencyMap &lat) const;
+    int recurrenceIi(const LatencyMap &lat) const
+    {
+        return iiForSum(latencySum(lat));
+    }
+
+    /** The II a latency sum of @p latency_sum imposes. */
+    int iiForSum(int latency_sum) const;
 
     bool contains(NodeId id) const;
 };
 
 /**
  * recurrenceIi() for every circuit at once. The values depend only
- * on the DDG and the assigned latencies -- never on the scheduling
- * II -- so callers retrying a loop at growing IIs compute them once
- * and reuse the vector across every attempt.
+ * on the assigned latencies -- never on the scheduling II -- so
+ * callers retrying a loop at growing IIs compute them once and
+ * reuse the vector across every attempt.
  */
-std::vector<int> recurrenceIis(const Ddg &ddg,
-                               const std::vector<Circuit> &circuits,
+std::vector<int> recurrenceIis(const std::vector<Circuit> &circuits,
                                const LatencyMap &lat);
 
 /** Tarjan SCC decomposition; returns component id per node. */

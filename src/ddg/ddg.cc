@@ -173,11 +173,11 @@ LatencyMap::set(NodeId id, int latency)
 }
 
 int
-edgeLatency(const Ddg &ddg, const DdgEdge &edge, const LatencyMap &lat)
+fixedEdgeLatency(DepKind kind)
 {
-    switch (edge.kind) {
+    switch (kind) {
       case DepKind::RegFlow:
-        return lat(edge.src);
+        return 0;
       case DepKind::RegAnti:
         // Anti-dependent instructions may share a cycle (Sec 4.3.3).
         return 0;
@@ -190,8 +190,15 @@ edgeLatency(const Ddg &ddg, const DdgEdge &edge, const LatencyMap &lat)
         // order; one cycle keeps the issue order strict.
         return 1;
     }
-    (void)ddg;
     return 1;
+}
+
+int
+edgeLatency(const Ddg &ddg, const DdgEdge &edge, const LatencyMap &lat)
+{
+    (void)ddg;
+    return edge.kind == DepKind::RegFlow ? lat(edge.src)
+                                         : fixedEdgeLatency(edge.kind);
 }
 
 } // namespace vliw

@@ -150,9 +150,17 @@ class LatencyMap
 };
 
 /**
+ * Latency a dependence of kind @p kind contributes whatever the
+ * assigned latencies: RegAnti 0, RegOut 1, and memory dependences 1
+ * (cache-module serialisation within a cluster). Only RegFlow edges
+ * depend on the assignment; this returns 0 for them.
+ */
+int fixedEdgeLatency(DepKind kind);
+
+/**
  * Latency contributed by @p edge in scheduling constraints:
- * RegFlow uses the producer latency, RegAnti 0, RegOut 1, and memory
- * dependences 1 (cache-module serialisation within a cluster).
+ * RegFlow uses the producer latency, every other kind its
+ * fixedEdgeLatency().
  */
 int edgeLatency(const Ddg &ddg, const DdgEdge &edge,
                 const LatencyMap &lat);

@@ -19,8 +19,7 @@ namespace vliw {
 int resMii(const Ddg &ddg, const MachineConfig &cfg);
 
 /** RecMII over a precomputed circuit set with latencies @p lat. */
-int recMii(const Ddg &ddg, const std::vector<Circuit> &circuits,
-           const LatencyMap &lat);
+int recMii(const std::vector<Circuit> &circuits, const LatencyMap &lat);
 
 /** MII = max(ResMII, RecMII); @p circuits from findCircuits(). */
 int computeMii(const Ddg &ddg, const std::vector<Circuit> &circuits,

@@ -14,6 +14,8 @@ LatencyScheme::LatencyScheme(std::vector<int> lats,
 {
     vliw_assert(latencies_.size() == names_.size(),
                 "latency/name size mismatch");
+    vliw_assert(latencies_.size() <= std::size_t(kMaxClasses),
+                "too many latency classes");
     vliw_assert(std::is_sorted(latencies_.begin(), latencies_.end()),
                 "latency classes must be ascending");
 }
@@ -57,7 +59,7 @@ LatencyScheme::className(LatClass cls) const
     return names_[std::size_t(cls)];
 }
 
-std::vector<double>
+std::array<double, LatencyScheme::kMaxClasses>
 LatencyScheme::classProbabilities(const MemProfile &prof) const
 {
     const double h = prof.hitRate;
@@ -66,14 +68,15 @@ LatencyScheme::classProbabilities(const MemProfile &prof) const
         return {h * l, h * (1.0 - l), (1.0 - h) * l,
                 (1.0 - h) * (1.0 - l)};
     }
-    return {h, 1.0 - h};
+    return {h, 1.0 - h, 0.0, 0.0};
 }
 
 double
 LatencyScheme::expectedStall(const MemProfile &prof,
                              int scheduled_lat) const
 {
-    const std::vector<double> probs = classProbabilities(prof);
+    const std::array<double, kMaxClasses> probs =
+        classProbabilities(prof);
     double stall = 0.0;
     for (int cls = 0; cls < numClasses(); ++cls) {
         const int extra = latencies_[std::size_t(cls)] - scheduled_lat;

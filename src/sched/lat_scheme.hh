@@ -13,6 +13,7 @@
 #ifndef WIVLIW_SCHED_LAT_SCHEME_HH
 #define WIVLIW_SCHED_LAT_SCHEME_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -44,12 +45,17 @@ class LatencyScheme
     LatClass worstClass() const { return numClasses() - 1; }
     LatClass bestClass() const { return 0; }
 
+    /** Most classes a scheme has (the four-class one). */
+    static constexpr int kMaxClasses = 4;
+
     /**
      * Probability that one dynamic execution of an instruction with
      * profile @p prof falls into each class. Four-class schemes use
      * hit rate x local ratio; two-class schemes use the hit rate.
+     * Entries from numClasses() on are zero.
      */
-    std::vector<double> classProbabilities(const MemProfile &prof) const;
+    std::array<double, kMaxClasses>
+    classProbabilities(const MemProfile &prof) const;
 
     /**
      * Expected stall cycles per execution when the instruction is

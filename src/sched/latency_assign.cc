@@ -13,16 +13,50 @@ namespace {
 constexpr double kInfiniteBenefit =
     std::numeric_limits<double>::infinity();
 
-/** Loads of @p circuit (the only latency-assignable nodes). */
-std::vector<NodeId>
-circuitLoads(const Ddg &ddg, const Circuit &circuit)
+/**
+ * Append enumerateBenefits(...) to @p steps. A trial changes one
+ * load's latency, and the load's latency enters the circuit's sum
+ * once per RegFlow edge it feeds there, so each trial's II is the
+ * current sum plus one delta: no trial map is built.
+ */
+void
+appendBenefits(const Ddg &ddg, const Circuit &circuit,
+               const ProfileMap &prof, const LatencyScheme &scheme,
+               const LatencyMap &current,
+               const std::vector<LatClass> &class_of,
+               std::vector<LatencyStep> &steps)
 {
-    std::vector<NodeId> loads;
+    const int sum_before = circuit.latencySum(current);
+    const int ii_before = circuit.iiForSum(sum_before);
+
     for (NodeId v : circuit.nodes) {
-        if (ddg.node(v).kind == OpKind::Load)
-            loads.push_back(v);
+        if (ddg.node(v).kind != OpKind::Load)
+            continue;   // only loads are latency-assignable
+        const int feeds = int(std::count(circuit.flowSources.begin(),
+                                         circuit.flowSources.end(), v));
+        const LatClass from = class_of[std::size_t(v)];
+        const MemProfile &p = prof.at(v);
+        const double stall_before =
+            scheme.expectedStall(p, current(v));
+
+        for (LatClass to = 0; to < from; ++to) {
+            const int lat_to = scheme.classLatency(to);
+            LatencyStep step;
+            step.node = v;
+            step.fromClass = from;
+            step.toClass = to;
+            step.iiBefore = ii_before;
+            step.iiAfter = circuit.iiForSum(
+                sum_before + feeds * (lat_to - current(v)));
+            step.stallBefore = stall_before;
+            step.stallAfter = scheme.expectedStall(p, lat_to);
+            const double d_stall = step.stallAfter - step.stallBefore;
+            const int d_ii = step.iiBefore - step.iiAfter;
+            step.benefit = d_stall <= 1e-12
+                ? kInfiniteBenefit : double(d_ii) / d_stall;
+            steps.push_back(step);
+        }
     }
-    return loads;
 }
 
 } // namespace
@@ -34,33 +68,8 @@ enumerateBenefits(const Ddg &ddg, const Circuit &circuit,
                   const std::vector<LatClass> &class_of)
 {
     std::vector<LatencyStep> steps;
-    const int ii_before = circuit.recurrenceIi(ddg, current);
-
-    for (NodeId v : circuitLoads(ddg, circuit)) {
-        const LatClass from = class_of[std::size_t(v)];
-        const MemProfile &p = prof.at(v);
-        const double stall_before =
-            scheme.expectedStall(p, current(v));
-
-        for (LatClass to = 0; to < from; ++to) {
-            LatencyMap trial = current;
-            trial.set(v, scheme.classLatency(to));
-            LatencyStep step;
-            step.node = v;
-            step.fromClass = from;
-            step.toClass = to;
-            step.iiBefore = ii_before;
-            step.iiAfter = circuit.recurrenceIi(ddg, trial);
-            step.stallBefore = stall_before;
-            step.stallAfter =
-                scheme.expectedStall(p, scheme.classLatency(to));
-            const double d_stall = step.stallAfter - step.stallBefore;
-            const int d_ii = step.iiBefore - step.iiAfter;
-            step.benefit = d_stall <= 1e-12
-                ? kInfiniteBenefit : double(d_ii) / d_stall;
-            steps.push_back(step);
-        }
-    }
+    appendBenefits(ddg, circuit, prof, scheme, current, class_of,
+                   steps);
     return steps;
 }
 
@@ -84,16 +93,7 @@ assignLatencies(const Ddg &ddg, const std::vector<Circuit> &circuits,
     out.miiTarget = computeMii(ddg, circuits, optimistic, cfg);
 
     std::vector<bool> done(circuits.size(), false);
-
-    // Circuits that contain each node, for the slack-removal guard.
-    auto circuits_of = [&](NodeId v) {
-        std::vector<int> result;
-        for (std::size_t i = 0; i < circuits.size(); ++i) {
-            if (circuits[i].contains(v))
-                result.push_back(int(i));
-        }
-        return result;
-    };
+    std::vector<LatencyStep> candidates;
 
     while (true) {
         // Most constraining unfinished recurrence first.
@@ -102,8 +102,7 @@ assignLatencies(const Ddg &ddg, const std::vector<Circuit> &circuits,
         for (std::size_t i = 0; i < circuits.size(); ++i) {
             if (done[i])
                 continue;
-            const int ii =
-                circuits[i].recurrenceIi(ddg, out.latencies);
+            const int ii = circuits[i].recurrenceIi(out.latencies);
             if (ii > pick_ii) {
                 pick_ii = ii;
                 pick = int(i);
@@ -117,11 +116,10 @@ assignLatencies(const Ddg &ddg, const std::vector<Circuit> &circuits,
         const Circuit &circuit = circuits[std::size_t(pick)];
         NodeId last_changed = kNoNode;
 
-        while (circuit.recurrenceIi(ddg, out.latencies) >
-               out.miiTarget) {
-            const std::vector<LatencyStep> candidates =
-                enumerateBenefits(ddg, circuit, prof, scheme,
-                                  out.latencies, out.classOf);
+        while (circuit.recurrenceIi(out.latencies) > out.miiTarget) {
+            candidates.clear();
+            appendBenefits(ddg, circuit, prof, scheme, out.latencies,
+                           out.classOf, candidates);
             const LatencyStep *best = nullptr;
             for (const LatencyStep &s : candidates) {
                 if (s.iiAfter >= s.iiBefore)
@@ -146,15 +144,15 @@ assignLatencies(const Ddg &ddg, const std::vector<Circuit> &circuits,
         // Slack removal: raise the last-lowered load so this (and
         // every other) recurrence sits exactly at the target.
         if (last_changed != kNoNode &&
-            circuit.recurrenceIi(ddg, out.latencies) <
-            out.miiTarget) {
+            circuit.recurrenceIi(out.latencies) < out.miiTarget) {
             std::int64_t delta =
                 std::numeric_limits<std::int64_t>::max();
-            for (int ci : circuits_of(last_changed)) {
-                const Circuit &c = circuits[std::size_t(ci)];
+            for (const Circuit &c : circuits) {
+                if (!c.contains(last_changed))
+                    continue;
                 const std::int64_t room =
                     std::int64_t(out.miiTarget) * c.totalDistance -
-                    c.latencySum(ddg, out.latencies);
+                    c.latencySum(out.latencies);
                 delta = std::min(delta, room);
             }
             if (delta > 0) {

@@ -37,7 +37,6 @@
 #include "sched/sms_order.hh"
 #include "sched/time_frames.hh"
 #include "support/logging.hh"
-#include "support/math_util.hh"
 
 namespace vliw {
 
@@ -94,20 +93,9 @@ class SchedWorkspace
             numChains_ = 0;
         edgeWeights_.build(ddg, lat);
         buildIndexes(ddg);
-        // recurrenceIis() re-derives every edge latency; summing
-        // the freshly built weights gives the same integers from a
-        // flat array.
         circuitIis_.resize(circuits.size());
-        for (std::size_t i = 0; i < circuits.size(); ++i) {
-            const Circuit &c = circuits[i];
-            vliw_assert(c.totalDistance > 0,
-                        "circuit with zero distance");
-            int sum = 0;
-            for (int e : c.edgeIdxs)
-                sum += edgeWeights_.latency[std::size_t(e)];
-            circuitIis_[i] =
-                int(ceilDiv(sum, c.totalDistance));
-        }
+        for (std::size_t i = 0; i < circuits.size(); ++i)
+            circuitIis_[i] = circuits[i].recurrenceIi(lat);
         buildOrderSets(ddg, circuits, circuitIis_, orderSets_,
                        orderScratch_);
         copyReady.assign(std::size_t(ddg.numNodes()) *

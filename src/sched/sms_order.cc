@@ -43,7 +43,7 @@ buildOrderSets(const Ddg &ddg, const std::vector<Circuit> &circuits,
                const LatencyMap &lat)
 {
     return buildOrderSets(ddg, circuits,
-                          recurrenceIis(ddg, circuits, lat));
+                          recurrenceIis(circuits, lat));
 }
 
 OrderSets

@@ -137,8 +137,8 @@ TEST(Circuits, PaperExampleIiValues)
     const Circuit *rec2 = nullptr;
     for (const Circuit &c : circuits) {
         if (c.contains(ex.n1) &&
-            (!rec1 || c.recurrenceIi(ex.ddg, remote_miss) >
-                 rec1->recurrenceIi(ex.ddg, remote_miss)))
+            (!rec1 || c.recurrenceIi(remote_miss) >
+                 rec1->recurrenceIi(remote_miss)))
             rec1 = &c;
         if (c.contains(ex.n6))
             rec2 = &c;
@@ -146,10 +146,10 @@ TEST(Circuits, PaperExampleIiValues)
     ASSERT_NE(rec1, nullptr);
     ASSERT_NE(rec2, nullptr);
 
-    EXPECT_EQ(rec1->recurrenceIi(ex.ddg, local_hit), 5);
-    EXPECT_EQ(rec1->recurrenceIi(ex.ddg, remote_miss), 33);
-    EXPECT_EQ(rec2->recurrenceIi(ex.ddg, local_hit), 8);
-    EXPECT_EQ(rec2->recurrenceIi(ex.ddg, remote_miss), 22);
+    EXPECT_EQ(rec1->recurrenceIi(local_hit), 5);
+    EXPECT_EQ(rec1->recurrenceIi(remote_miss), 33);
+    EXPECT_EQ(rec2->recurrenceIi(local_hit), 8);
+    EXPECT_EQ(rec2->recurrenceIi(remote_miss), 22);
 }
 
 TEST(Circuits, SelfLoop)
@@ -272,7 +272,7 @@ TEST(Unroll, RecurrenceIiInvariant)
     const auto circuits = findCircuits(u);
     ASSERT_EQ(circuits.size(), 1u);
     const LatencyMap lat(u, 1);
-    EXPECT_EQ(circuits[0].recurrenceIi(u, lat), 8);  // 4 * 2
+    EXPECT_EQ(circuits[0].recurrenceIi(lat), 8);  // 4 * 2
 }
 
 TEST(Unroll, MemInfoPhases)

@@ -11,7 +11,10 @@
 #include "ddg/circuits.hh"
 #include "sched/lat_scheme.hh"
 #include "sched/latency_assign.hh"
+#include "support/math_util.hh"
+#include "support/random.hh"
 #include "util_paper_example.hh"
+#include "util_random_ddg.hh"
 
 namespace vliw {
 namespace {
@@ -139,7 +142,7 @@ TEST_F(LatencyAssignTest, RecurrencesReachTheTargetExactly)
     // REC1 and REC2) sit exactly on it.
     int max_ii = 0;
     for (const Circuit &c : circuits) {
-        const int ii = c.recurrenceIi(ex.ddg, out.latencies);
+        const int ii = c.recurrenceIi(out.latencies);
         EXPECT_LE(ii, 8);
         max_ii = std::max(max_ii, ii);
     }
@@ -185,12 +188,12 @@ TEST_F(LatencyAssignTest, BenefitTableStep1)
     const Circuit *rec1 = nullptr;
     for (const Circuit &c : circuits) {
         if (c.contains(ex.n1) &&
-            (!rec1 || c.recurrenceIi(ex.ddg, current) >
-                 rec1->recurrenceIi(ex.ddg, current)))
+            (!rec1 || c.recurrenceIi(current) >
+                 rec1->recurrenceIi(current)))
             rec1 = &c;
     }
     ASSERT_NE(rec1, nullptr);
-    ASSERT_EQ(rec1->recurrenceIi(ex.ddg, current), 33);
+    ASSERT_EQ(rec1->recurrenceIi(current), 33);
 
     const auto steps = enumerateBenefits(ex.ddg, *rec1, ex.profile,
                                          s, current, class_of);
@@ -246,7 +249,7 @@ TEST_F(LatencyAssignTest, TwoClassSchemeOnUnified)
     // REC2 = 5+6+1 = 12 -> MII 13.
     EXPECT_EQ(out.miiTarget, 13);
     for (const Circuit &c : circuits) {
-        EXPECT_LE(c.recurrenceIi(ex.ddg, out.latencies),
+        EXPECT_LE(c.recurrenceIi(out.latencies),
                   out.miiTarget);
     }
 }
@@ -276,9 +279,72 @@ TEST_F(LatencyAssignTest, SharedLoadGuardsOtherCircuits)
     const LatencyAssignment out = assignLatencies(
         g, cs, prof, *scheme, cfg);
     for (const Circuit &c : cs) {
-        EXPECT_LE(c.recurrenceIi(g, out.latencies),
+        EXPECT_LE(c.recurrenceIi(out.latencies),
                   out.miiTarget);
     }
+}
+
+/** A circuit's latency sum by walking its edges. */
+int
+walkedLatencySum(const Ddg &ddg, const Circuit &c, const LatencyMap &lat)
+{
+    int sum = 0;
+    for (int e : c.edgeIdxs)
+        sum += edgeLatency(ddg, ddg.edge(e), lat);
+    return sum;
+}
+
+TEST(LatencyAssign, IncrementalTrialsMatchCopiedMaps)
+{
+    // enumerateBenefits prices each trial from the circuit's sum
+    // plus one delta; the reference copies the map, edits the one
+    // load and walks every edge again.
+    int trials = 0;
+    for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+        const testutil::RandomLoop loop =
+            testutil::makeRandomLoop(seed, 4);
+        const Ddg &ddg = loop.ddg;
+        const MachineConfig cfg = seed % 2
+            ? MachineConfig::paperInterleaved()
+            : MachineConfig::paperUnified(5);
+        const LatencyScheme scheme = testutil::schemeFor(cfg);
+        const std::vector<Circuit> circuits = findCircuits(ddg);
+
+        // A random current state: every load at some class.
+        Rng rng(seed * 977);
+        LatencyMap current(ddg, 0);
+        std::vector<LatClass> class_of(std::size_t(ddg.numNodes()),
+                                       scheme.worstClass());
+        for (NodeId v = 0; v < ddg.numNodes(); ++v) {
+            if (ddg.node(v).kind != OpKind::Load)
+                continue;
+            class_of[std::size_t(v)] = LatClass(
+                rng.nextBelow(std::uint64_t(scheme.numClasses())));
+            current.set(v, scheme.classLatency(
+                               class_of[std::size_t(v)]));
+        }
+
+        for (const Circuit &c : circuits) {
+            const int walked = walkedLatencySum(ddg, c, current);
+            ASSERT_EQ(c.latencySum(current), walked);
+            for (const LatencyStep &step :
+                 enumerateBenefits(ddg, c, loop.profile, scheme,
+                                   current, class_of)) {
+                LatencyMap trial = current;
+                trial.set(step.node,
+                          scheme.classLatency(step.toClass));
+                EXPECT_EQ(step.iiBefore,
+                          ceilDiv(walked, c.totalDistance));
+                EXPECT_EQ(step.iiAfter,
+                          ceilDiv(walkedLatencySum(ddg, c, trial),
+                                  c.totalDistance))
+                    << "seed " << seed << " node " << step.node;
+                EXPECT_EQ(step.iiAfter, c.recurrenceIi(trial));
+                ++trials;
+            }
+        }
+    }
+    EXPECT_GT(trials, 1000);
 }
 
 } // namespace

@@ -165,7 +165,7 @@ TEST_P(SmsOrderProperty, OrdersAllNodesAndKeepsConnectivity)
     int rec_mii = 1;
     for (const Circuit &c : circuits) {
         rec_mii = std::max(rec_mii,
-                           c.recurrenceIi(loop.ddg, lat));
+                           c.recurrenceIi(lat));
     }
     const std::vector<NodeId> order =
         smsOrder(loop.ddg, circuits, lat, rec_mii);
@@ -189,7 +189,7 @@ TEST_P(SmsOrderProperty, FallbackTopologicalOrderIsSound)
     int rec_mii = 1;
     for (const Circuit &c : circuits) {
         rec_mii = std::max(rec_mii,
-                           c.recurrenceIi(loop.ddg, lat));
+                           c.recurrenceIi(lat));
     }
 
     const std::vector<NodeId> order =
