@@ -12,7 +12,9 @@
 #include <random>
 #include <vector>
 
+#include "api/registries.hh"
 #include "ddg/chains.hh"
+#include "mem/tag_array.hh"
 #include "sched/unroll_policy.hh"
 #include "sim/sim_workspace.hh"
 #include "ddg/unroll.hh"
@@ -335,6 +337,150 @@ TEST(Profiler, StridedWalkSpreadsClusters)
     const ProfileMap prof = profileLoop(loop.body, addr, 64, 1, cfg);
     // Stride 4 = I: accesses rotate over all clusters.
     EXPECT_NEAR(prof.at(ld).distribution, 0.25, 0.01);
+}
+
+/**
+ * The per-access profiler the stream-fed one replaced, kept as its
+ * oracle: addressOf() for every (iteration, node), block numbers by
+ * division.
+ */
+ProfileMap
+profileByAddressOf(const Ddg &ddg, AddressResolver &resolver,
+                   std::int64_t iterations, int invocations,
+                   const MachineConfig &cfg, const ProfileOptions &opts)
+{
+    ProfileMap map(ddg.numNodes());
+    const std::vector<NodeId> mem_nodes = ddg.memNodes();
+    TagArray tags(cfg.cacheSets(), cfg.cacheWays);
+    std::vector<std::uint64_t> hits(std::size_t(ddg.numNodes()), 0);
+    for (NodeId v : mem_nodes) {
+        map.at(v).clusterCounts.assign(
+            std::size_t(cfg.numClusters), 0);
+    }
+    const std::int64_t per_invocation = opts.maxIterations > 0
+        ? std::min(iterations, opts.maxIterations) : iterations;
+    for (int inv = 0; inv < invocations; ++inv) {
+        resolver.setInvocation(inv);
+        for (std::int64_t i = 0; i < per_invocation; ++i) {
+            for (NodeId v : mem_nodes) {
+                const std::uint64_t addr = resolver.addressOf(v, i);
+                const std::uint64_t block =
+                    addr / std::uint64_t(cfg.blockBytes);
+                MemProfile &prof = map.at(v);
+                prof.executions += 1;
+                prof.clusterCounts[std::size_t(
+                    cfg.homeCluster(addr))] += 1;
+                if (tags.touch(block) != TagArray::kNoLine)
+                    hits[std::size_t(v)] += 1;
+                else
+                    tags.insert(block);
+            }
+        }
+    }
+    for (NodeId v : mem_nodes) {
+        MemProfile &prof = map.at(v);
+        if (prof.executions == 0) {
+            prof.hitRate = 0.0;
+            continue;
+        }
+        prof.hitRate =
+            double(hits[std::size_t(v)]) / double(prof.executions);
+        std::uint64_t best = 0;
+        std::uint64_t best_count = 0;
+        for (std::size_t c = 0; c < prof.clusterCounts.size(); ++c) {
+            if (prof.clusterCounts[c] > best_count) {
+                best_count = prof.clusterCounts[c];
+                best = c;
+            }
+        }
+        prof.preferredCluster = int(best);
+        prof.distribution =
+            double(best_count) / double(prof.executions);
+        prof.localRatio =
+            ddg.memInfo(v).granularity > cfg.interleaveBytes
+            ? 0.0 : prof.distribution;
+    }
+    return map;
+}
+
+TEST(Profiler, StreamsMatchAddressOf)
+{
+    // Builtins plus a loop of indirect walks (power-of-two and odd
+    // index ranges, one wider than its table) drifting per
+    // invocation; every arch and a parametric geometry; plain and
+    // unrolled bodies; three invocations; with and without an
+    // iteration cap that ends mid-refill.
+    std::vector<BenchmarkSpec> benches = mediabenchSuite();
+    BenchmarkSpec gather = tinyBench();
+    gather.name = "gather";
+    {
+        KernelBuilder kb("gather");
+        MemOpts pow2;
+        pow2.indirect = true;
+        pow2.indexRange = 64;
+        MemOpts odd;
+        odd.indirect = true;
+        odd.indexRange = 100;
+        odd.invocationStride = 12;
+        MemOpts wide;
+        wide.indirect = true;
+        wide.indexRange = 1000;
+        const NodeId a = kb.load(0, 4, 0, pow2);
+        const NodeId b = kb.load(1, 2, 0, odd);
+        const NodeId c = kb.load(2, 4, 0, wide);
+        const NodeId sum = kb.compute(OpKind::IntAlu, {a, b, c});
+        kb.store(0, 4, 4, sum);
+        gather.loops.push_back(kb.take(176, 3));
+    }
+    benches.push_back(std::move(gather));
+
+    const api::Registries &reg = api::builtinRegistries();
+    std::vector<std::string> archs = reg.archs.names();
+    archs.push_back("interleaved:c8:b16k");
+    int profiles = 0;
+    for (const std::string &arch : archs) {
+        const MachineConfig cfg = reg.archs.resolve(arch).value();
+        for (const BenchmarkSpec &bench : benches) {
+            const DataSet ds = makeDataSet(bench, cfg, 0x9E1C, true);
+            for (const LoopSpec &loop : bench.loops) {
+                for (int factor : {1, cfg.numClusters}) {
+                    if (loop.avgIterations % factor != 0)
+                        continue;
+                    const Ddg body = unrollDdg(loop.body, factor);
+                    const std::int64_t iters =
+                        loop.avgIterations / factor;
+                    for (std::int64_t cap : {0, 37}) {
+                        ProfileOptions opts;
+                        opts.maxIterations = cap;
+                        AddressResolver fast(body, bench, ds);
+                        AddressResolver slow(body, bench, ds);
+                        const ProfileMap got = profileLoop(
+                            body, fast, iters, 3, cfg, opts);
+                        const ProfileMap want = profileByAddressOf(
+                            body, slow, iters, 3, cfg, opts);
+                        ASSERT_EQ(got.size(), want.size());
+                        for (NodeId v : body.memNodes()) {
+                            const MemProfile &g = got.at(v);
+                            const MemProfile &w = want.at(v);
+                            SCOPED_TRACE(arch + " " + bench.name +
+                                         "/" + loop.name + " x" +
+                                         std::to_string(factor));
+                            EXPECT_EQ(g.executions, w.executions);
+                            EXPECT_EQ(g.clusterCounts,
+                                      w.clusterCounts);
+                            EXPECT_EQ(g.hitRate, w.hitRate);
+                            EXPECT_EQ(g.preferredCluster,
+                                      w.preferredCluster);
+                            EXPECT_EQ(g.distribution, w.distribution);
+                            EXPECT_EQ(g.localRatio, w.localRatio);
+                        }
+                        ++profiles;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(profiles, 500);
 }
 
 TEST(UnrollPolicy, IndividualFactors)
