@@ -67,15 +67,12 @@ Toolchain::chainsEnabled() const
     return opts_.memChains && cfg_.cacheOrg != CacheOrg::Unified;
 }
 
-CompiledLoop
-Toolchain::compileAt(engine::FrontCache &fronts,
-                     const BenchmarkSpec &bench, const LoopSpec &loop,
-                     std::size_t index, int factor) const
+Toolchain::UnrollCandidate
+Toolchain::planAt(engine::FrontCache &fronts, const BenchmarkSpec &bench,
+                  const LoopSpec &loop, std::size_t index,
+                  UnrollPolicy policy, int factor,
+                  const LatencyScheme &scheme) const
 {
-    CompiledLoop out;
-    out.name = loop.name;
-    out.unrollFactor = factor;
-    out.invocations = loop.invocations;
     // User workloads pick their own trip counts; an indivisible
     // unroll factor is their mistake to hear about, not a wivliw
     // invariant.
@@ -85,31 +82,36 @@ Toolchain::compileAt(engine::FrontCache &fronts,
             loop.avgIterations, " not divisible by unroll factor ",
             factor));
     }
-    out.kernelIterations = loop.avgIterations / factor;
-
-    // The hint pass below edits the body, so the loop keeps its own
-    // copy of the shared front end.
-    const std::shared_ptr<const LoopFront> front =
-        frontAt(fronts, bench, loop, index, factor);
-    out.ddg = front->ddg;
-    out.profile = front->profile;
-    const std::vector<Circuit> &circuits = front->circuits;
-    const LatencyScheme scheme = makeScheme();
-    out.latency = assignLatencies(out.ddg, circuits, out.profile,
-                                  scheme, cfg_);
-
-    // Attraction hints need the assigned latencies: only loads
-    // scheduled below the remote-hit latency can stall on remote
-    // hits, so only those benefit from buffer capacity.
-    if (opts_.abHints && cfg_.attractionBuffers &&
-        opts_.abHintBudget > 0) {
-        applyAbHints(out.ddg, out.profile, out.latency.latencies);
-    }
-
+    UnrollCandidate cand;
+    cand.policy = policy;
+    cand.factor = factor;
+    cand.front = frontAt(fronts, bench, loop, index, factor);
+    const LoopFront &front = *cand.front;
+    cand.latency = assignLatencies(front.ddg, front.circuits,
+                                   front.profile, scheme, cfg_);
     // Recurrences that could not reach the target keep the MII up.
-    out.mii = std::max(out.latency.miiTarget,
-                       computeMii(out.ddg, circuits,
-                                  out.latency.latencies, cfg_));
+    cand.mii = std::max(cand.latency.miiTarget,
+                        computeMii(front.ddg, front.circuits,
+                                   cand.latency.latencies, cfg_));
+    cand.bound = estimateTexec(double(loop.avgIterations), factor, 1,
+                               cand.mii);
+    return cand;
+}
+
+CompiledLoop
+Toolchain::scheduleCandidate(const BenchmarkSpec &bench,
+                             const LoopSpec &loop,
+                             const UnrollCandidate &cand) const
+{
+    const LoopFront &front = *cand.front;
+    const LatencyMap &lat = cand.latency.latencies;
+    CompiledLoop out;
+    out.name = loop.name;
+    out.unrollFactor = cand.factor;
+    out.policyChosen = cand.policy;
+    out.invocations = loop.invocations;
+    out.kernelIterations = loop.avgIterations / cand.factor;
+    out.mii = cand.mii;
 
     SchedulerOptions sched_opts;
     sched_opts.heuristic = opts_.heuristic;
@@ -117,9 +119,9 @@ Toolchain::compileAt(engine::FrontCache &fronts,
     sched_opts.maxIiTries = opts_.maxIiTries;
     sched_opts.cancel = opts_.cancel;
 
-    auto outcome = scheduleLoop(out.ddg, circuits,
-                                out.latency.latencies, out.profile,
-                                cfg_, out.mii, sched_opts);
+    auto outcome = scheduleLoop(front.ddg, front.circuits, lat,
+                                front.profile, cfg_, out.mii,
+                                sched_opts);
     if (!outcome) {
         throw CompileError(detail::concat(
             "loop ", bench.name, "/", loop.name,
@@ -133,8 +135,8 @@ Toolchain::compileAt(engine::FrontCache &fronts,
     // runs out, so a CompileError can only come from the seed above.
     if (opts_.optimalSolver) {
         const opt::SolveOutcome solved = opt::solveLoop(
-            out.ddg, out.latency.latencies, cfg_, sched_opts,
-            opts_.solverBudget, out.sched.schedule, out.mii);
+            front.ddg, lat, cfg_, sched_opts, opts_.solverBudget,
+            out.sched.schedule, out.mii);
         out.solverOutcome = opt::solveStatusName(solved.status);
         out.solverLowerBound = solved.lowerBound;
         out.solverNodes = solved.stats.nodes;
@@ -143,7 +145,7 @@ Toolchain::compileAt(engine::FrontCache &fronts,
             // chainClusters is metadata (serialized, not simulated);
             // rebind it to the solver's cluster choices.
             if (sched_opts.useChains) {
-                const MemChains chains(out.ddg);
+                const MemChains chains(front.ddg);
                 out.sched.chainClusters.assign(
                     std::size_t(chains.numChains()), -1);
                 for (int ch = 0; ch < chains.numChains(); ++ch) {
@@ -154,7 +156,27 @@ Toolchain::compileAt(engine::FrontCache &fronts,
             }
         }
     }
+    // The selective bound's premises.
+    vliw_assert(out.sched.schedule.ii >= out.mii &&
+                    out.sched.schedule.stageCount >= 1,
+                "schedule below its planned bound");
     return out;
+}
+
+void
+Toolchain::materialise(CompiledLoop &out, UnrollCandidate &cand) const
+{
+    out.ddg = cand.front->ddg;
+    out.profile = cand.front->profile;
+    out.latency = std::move(cand.latency);
+    // Attraction hints need the assigned latencies: only loads
+    // scheduled below the remote-hit latency can stall on remote
+    // hits, so only those benefit from buffer capacity. Only the
+    // simulator reads the flags, so the schedule is the same.
+    if (opts_.abHints && cfg_.attractionBuffers &&
+        opts_.abHintBudget > 0) {
+        applyAbHints(out.ddg, out.profile, out.latency.latencies);
+    }
 }
 
 void
@@ -216,38 +238,70 @@ Toolchain::compileLoop(engine::FrontCache &fronts,
         }
         return 1;
     };
+    const LatencyScheme scheme = makeScheme();
 
     if (opts_.unroll != UnrollPolicy::Selective) {
-        CompiledLoop out = compileAt(fronts, bench, loop, index,
-                                     policy_factor(opts_.unroll));
-        out.policyChosen = opts_.unroll;
+        UnrollCandidate cand =
+            planAt(fronts, bench, loop, index, opts_.unroll,
+                   policy_factor(opts_.unroll), scheme);
+        CompiledLoop out = scheduleCandidate(bench, loop, cand);
+        materialise(out, cand);
         return out;
     }
 
-    // Selective unrolling: estimate Texec for the three candidate
-    // factors and keep the best (paper Section 4.3.1 step 1).
-    const std::vector<UnrollPolicy> candidates = {
-        UnrollPolicy::None, UnrollPolicy::TimesN, UnrollPolicy::Ouf};
-    CompiledLoop best;
-    double best_cost = 0.0;
-    bool first = true;
-    for (UnrollPolicy policy : candidates) {
+    // Selective unrolling: estimate Texec for the distinct candidate
+    // factors and keep the first minimum in none/xN/OUF order (paper
+    // Section 4.3.1 step 1). Every candidate is planned first, so a
+    // trip count a factor does not divide always throws. Scheduling
+    // then goes in bound order and skips a candidate whose bound
+    // already loses to the best cost -- ties go to the earlier
+    // candidate -- so a skipped candidate never runs the scheduler
+    // and cannot fail the loop by exhausting its II budget.
+    std::vector<UnrollCandidate> cands;
+    cands.reserve(3);
+    for (UnrollPolicy policy : {UnrollPolicy::None,
+                                UnrollPolicy::TimesN,
+                                UnrollPolicy::Ouf}) {
         const int factor = policy_factor(policy);
-        if (!first && factor == best.unrollFactor)
-            continue;   // identical factor, identical schedule
-        CompiledLoop cand =
-            compileAt(fronts, bench, loop, index, factor);
-        cand.policyChosen = policy;
-        const double cost = estimateTexec(
-            double(loop.avgIterations), factor,
-            cand.sched.schedule.stageCount, cand.sched.schedule.ii);
-        if (first || cost < best_cost) {
-            best = std::move(cand);
-            best_cost = cost;
-            best.policyChosen = UnrollPolicy::Selective;
+        const bool seen = std::any_of(
+            cands.begin(), cands.end(),
+            [&](const UnrollCandidate &c) { return c.factor == factor; });
+        if (!seen) {
+            cands.push_back(planAt(fronts, bench, loop, index, policy,
+                                   factor, scheme));
         }
-        first = false;
     }
+    std::vector<std::size_t> order(cands.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return cands[a].bound < cands[b].bound;
+                     });
+
+    CompiledLoop best;
+    std::size_t best_idx = cands.size();
+    double best_cost = 0.0;
+    for (std::size_t idx : order) {
+        const UnrollCandidate &cand = cands[idx];
+        if (best_idx < cands.size() &&
+            (cand.bound > best_cost ||
+             (cand.bound == best_cost && idx > best_idx))) {
+            continue;
+        }
+        CompiledLoop out = scheduleCandidate(bench, loop, cand);
+        const double cost = estimateTexec(
+            double(loop.avgIterations), cand.factor,
+            out.sched.schedule.stageCount, out.sched.schedule.ii);
+        if (best_idx == cands.size() || cost < best_cost ||
+            (cost == best_cost && idx < best_idx)) {
+            best = std::move(out);
+            best_idx = idx;
+            best_cost = cost;
+        }
+    }
+    materialise(best, cands[best_idx]);
+    best.policyChosen = UnrollPolicy::Selective;
     return best;
 }
 

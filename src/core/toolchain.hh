@@ -271,11 +271,39 @@ class Toolchain
                              const LoopSpec &loop,
                              std::size_t index) const;
 
-    /** Compile at one fixed unroll factor. */
-    CompiledLoop compileAt(engine::FrontCache &fronts,
+    /**
+     * One unroll factor of a loop, planned but not scheduled: it
+     * reads the shared front end and owns only its latencies.
+     */
+    struct UnrollCandidate
+    {
+        UnrollPolicy policy = UnrollPolicy::None;
+        int factor = 1;
+        std::shared_ptr<const LoopFront> front;
+        LatencyAssignment latency;
+        int mii = 1;
+        /** estimateTexec lower bound: SC >= 1 and II >= mii. */
+        double bound = 0.0;
+    };
+
+    /** Plan @p loop at @p factor: front, latencies and MII. */
+    UnrollCandidate planAt(engine::FrontCache &fronts,
                            const BenchmarkSpec &bench,
                            const LoopSpec &loop, std::size_t index,
-                           int factor) const;
+                           UnrollPolicy policy, int factor,
+                           const LatencyScheme &scheme) const;
+
+    /**
+     * Schedule @p cand against its front. The result has no body,
+     * profile or latencies yet; materialise() gives it those.
+     */
+    CompiledLoop scheduleCandidate(const BenchmarkSpec &bench,
+                                   const LoopSpec &loop,
+                                   const UnrollCandidate &cand) const;
+
+    /** Copy the chosen candidate's front into @p out, move its
+     *  latencies there and apply the AB hints. */
+    void materialise(CompiledLoop &out, UnrollCandidate &cand) const;
 
     /** Restrict attractable loads to the abHintBudget hottest. */
     void applyAbHints(Ddg &ddg, const ProfileMap &prof,

@@ -36,7 +36,15 @@ int computeOuf(const Ddg &ddg, const ProfileMap &prof,
 
 /**
  * Estimated execution time of a modulo-scheduled loop (paper
- * Section 4.3.1): (ceil(avg_iters / U) + SC - 1) * II.
+ * Section 4.3.1): (max(1, avg_iters / U) + SC - 1) * II.
+ *
+ * Since SC >= 1 and II >= MII, estimateTexec(avg_iters, U, 1, MII)
+ * bounds a candidate's estimate from below before it is scheduled.
+ * Selective unrolling schedules its candidates in bound order and
+ * skips one whose bound exceeds the best estimate so far, or equals
+ * it when the candidate comes later in none/xN/OUF order (the first
+ * minimum wins ties). A skipped candidate never runs the scheduler,
+ * so exhausting its II budget cannot fail the loop.
  */
 double estimateTexec(double avg_iterations, int unroll_factor,
                      int stage_count, int ii);

@@ -249,35 +249,45 @@ TEST(SelectiveUnroll, BuiltinsMatchExhaustiveReference)
     }
 }
 
-TEST(SelectiveUnroll, RandomLoopsMatchExhaustiveReference)
+/**
+ * A one-loop benchmark around generated loop @p seed. Bodies stay
+ * small: unrolling multiplies the circuits of a dense random graph
+ * past findCircuits' cap.
+ */
+BenchmarkSpec
+randomBench(std::uint64_t seed, const MachineConfig &cfg,
+            std::int64_t trip_count)
 {
-    // Trip counts divisible by every candidate factor (powers of two
-    // up to the mapping period), short and long so that both the
-    // unrolled and the plain bodies win some loops. Bodies stay small:
-    // unrolling multiplies the circuits of a dense random graph past
-    // findCircuits' cap.
-    const std::int64_t trips[] = {16, 64, 256, 4096};
     testutil::RandomDdgOptions shape;
     shape.minNodes = 4;
     shape.maxNodes = 10;
     shape.backEdgeChance = 0.15;
     shape.maxDistance = 2;
+    BenchmarkSpec bench;
+    bench.name = "random" + std::to_string(seed);
+    bench.addSymbol("a", 4096, SymbolSpec::Storage::Heap);
+    LoopSpec loop;
+    loop.name = "loop";
+    loop.body = testutil::makeRandomLoop(seed, cfg.numClusters, shape).ddg;
+    loop.avgIterations = trip_count;
+    loop.invocations = 2;
+    bench.loops.push_back(std::move(loop));
+    return bench;
+}
+
+TEST(SelectiveUnroll, RandomLoopsMatchExhaustiveReference)
+{
+    // Trip counts divisible by every candidate factor (powers of two
+    // up to the mapping period), short and long so that both the
+    // unrolled and the plain bodies win some loops.
+    const std::int64_t trips[] = {16, 64, 256, 4096};
     const api::Registries &reg = api::builtinRegistries();
     const std::vector<std::string> &archs = reg.archs.names();
     int compiled = 0;
     for (std::uint64_t seed = 1; seed <= 50; ++seed) {
         const std::string &arch = archs[seed % archs.size()];
         const MachineConfig cfg = reg.archs.resolve(arch).value();
-        BenchmarkSpec bench;
-        bench.name = "random" + std::to_string(seed);
-        bench.addSymbol("a", 4096, SymbolSpec::Storage::Heap);
-        LoopSpec loop;
-        loop.name = "loop";
-        loop.body =
-            testutil::makeRandomLoop(seed, cfg.numClusters, shape).ddg;
-        loop.avgIterations = trips[seed % 4];
-        loop.invocations = 2;
-        bench.loops.push_back(std::move(loop));
+        const BenchmarkSpec bench = randomBench(seed, cfg, trips[seed % 4]);
         compiled += expectSelectiveMatchesExhaustive(
             cfg, baseOptions(seed % 2 ? Heuristic::Ipbc
                                       : Heuristic::Base),
@@ -286,6 +296,70 @@ TEST(SelectiveUnroll, RandomLoopsMatchExhaustiveReference)
     // Nearly every generated loop schedules, so the comparison
     // above is not vacuous.
     EXPECT_GE(compiled, 45);
+}
+
+/** Texec lower bound of @p loop under @p policy: its MII at SC 1. */
+double
+policyBound(const MachineConfig &cfg, UnrollPolicy policy,
+            const BenchmarkSpec &bench)
+{
+    const LoopSpec &loop = bench.loops.front();
+    const CompiledLoop compiled =
+        Toolchain(cfg, baseOptions(Heuristic::Ipbc, policy))
+            .compileLoop(bench, loop);
+    return estimateTexec(double(loop.avgIterations),
+                         compiled.unrollFactor, 1, compiled.mii);
+}
+
+TEST(SelectiveUnroll, RuledOutCandidateMayExhaustItsIiBudget)
+{
+    // Generated loop 5 needs two II attempts without unrolling, one
+    // at x4, and its x4 cost already beats the plain body's bound:
+    // the plain body is never scheduled, so its budget cannot fail
+    // the loop.
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    const BenchmarkSpec bench = randomBench(5, cfg, 64);
+    const LoopSpec &loop = bench.loops.front();
+    ToolchainOptions opts = baseOptions(Heuristic::Ipbc);
+    opts.maxIiTries = 1;
+
+    ToolchainOptions plain = opts;
+    plain.unroll = UnrollPolicy::None;
+    ASSERT_THROW(Toolchain(cfg, plain).compileLoop(bench, loop),
+                 CompileError);
+
+    const CompiledLoop sel = Toolchain(cfg, opts).compileLoop(bench, loop);
+    EXPECT_EQ(sel.unrollFactor, cfg.numClusters);
+    EXPECT_LT(estimateTexec(double(loop.avgIterations),
+                            sel.unrollFactor,
+                            sel.sched.schedule.stageCount,
+                            sel.sched.schedule.ii),
+              policyBound(cfg, UnrollPolicy::None, bench));
+}
+
+TEST(SelectiveUnroll, BestBoundCandidateExhaustingItsBudgetThrows)
+{
+    // Generated loop 2 schedules without unrolling in two attempts
+    // but not at x4, whose bound is the lowest: it is scheduled
+    // first, so its failure fails the loop.
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    const BenchmarkSpec bench = randomBench(2, cfg, 16);
+    const LoopSpec &loop = bench.loops.front();
+    ToolchainOptions opts = baseOptions(Heuristic::Ipbc);
+    opts.maxIiTries = 2;
+
+    ToolchainOptions plain = opts;
+    plain.unroll = UnrollPolicy::None;
+    EXPECT_NO_THROW(Toolchain(cfg, plain).compileLoop(bench, loop));
+    ToolchainOptions times_n = opts;
+    times_n.unroll = UnrollPolicy::TimesN;
+    ASSERT_THROW(Toolchain(cfg, times_n).compileLoop(bench, loop),
+                 CompileError);
+    ASSERT_LT(policyBound(cfg, UnrollPolicy::TimesN, bench),
+              policyBound(cfg, UnrollPolicy::None, bench));
+
+    EXPECT_THROW(Toolchain(cfg, opts).compileLoop(bench, loop),
+                 CompileError);
 }
 
 // ---- Attraction Buffer hints, pinned byte for byte ----
