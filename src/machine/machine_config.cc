@@ -53,10 +53,11 @@ MachineConfig::abSets() const
 std::string
 MachineConfig::check() const
 {
-    std::ostringstream os;
+    // Messages are built only on failure: validate() runs this on
+    // every Toolchain construction.
     if (numClusters < 1) {
-        os << "numClusters must be >= 1, got " << numClusters;
-        return os.str();
+        return detail::concat("numClusters must be >= 1, got ",
+                              numClusters);
     }
     if (!isPowerOfTwo(std::uint64_t(numClusters)))
         return "numClusters must be a power of two";
@@ -72,15 +73,15 @@ MachineConfig::check() const
     if (cacheWays < 1)
         return "cacheWays must be >= 1";
     if (cacheBytes < 1 || cacheBytes % (blockBytes * cacheWays) != 0) {
-        os << "cacheBytes not divisible into " << cacheWays
-           << "-way sets of " << blockBytes << "-byte blocks";
-        return os.str();
+        return detail::concat("cacheBytes not divisible into ",
+                              cacheWays, "-way sets of ", blockBytes,
+                              "-byte blocks");
     }
     if (blockBytes % (numClusters * interleaveBytes) != 0) {
-        os << "block of " << blockBytes << " bytes cannot be word-"
-           << "interleaved over " << numClusters << " clusters at "
-           << interleaveBytes << "-byte granularity";
-        return os.str();
+        return detail::concat(
+            "block of ", blockBytes, " bytes cannot be word-",
+            "interleaved over ", numClusters, " clusters at ",
+            interleaveBytes, "-byte granularity");
     }
     if (cacheBytes % numClusters != 0)
         return "cacheBytes must divide evenly across clusters";
@@ -94,9 +95,8 @@ MachineConfig::check() const
                "LH <= RH <= LM <= RM";
     }
     if (regsPerCluster < 8) {
-        os << "regsPerCluster unrealistically small: "
-           << regsPerCluster;
-        return os.str();
+        return detail::concat("regsPerCluster unrealistically small: ",
+                              regsPerCluster);
     }
     return "";
 }
