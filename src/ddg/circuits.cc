@@ -239,18 +239,23 @@ class JohnsonCircuits
                 " elementary circuits; latency assignment "
                 "would be incomplete"));
         }
+        // Each vector is allocated once, at its final size: a
+        // dense body emits hundreds of thousands of circuits.
         Circuit c;
         c.nodes = pathNodes_;
-        c.edgeIdxs = pathEdges_;
+        c.edgeIdxs.reserve(pathEdges_.size() + 1);
+        c.edgeIdxs.assign(pathEdges_.begin(), pathEdges_.end());
         c.edgeIdxs.push_back(closing_edge);
+        flowScratch_.clear();
         for (int eidx : c.edgeIdxs) {
             const DdgEdge &e = ddg_.edge(eidx);
             c.totalDistance += e.distance;
             if (e.kind == DepKind::RegFlow)
-                c.flowSources.push_back(e.src);
+                flowScratch_.push_back(e.src);
             else
                 c.fixedLatency += fixedEdgeLatency(e.kind);
         }
+        c.flowSources.assign(flowScratch_.begin(), flowScratch_.end());
         if (c.totalDistance == 0) {
             // A same-iteration cycle is a malformed user loop body
             // (anything the builder layers emit is acyclic within
@@ -272,6 +277,7 @@ class JohnsonCircuits
     std::vector<std::vector<NodeId>> blockMap_;
     std::vector<NodeId> pathNodes_;
     std::vector<int> pathEdges_;
+    std::vector<NodeId> flowScratch_;
     std::vector<Circuit> circuits_;
 };
 
