@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 
 #include "core/versioning.hh"
 #include "ddg/mii.hh"
@@ -69,8 +70,7 @@ Toolchain::chainsEnabled() const
 
 Toolchain::UnrollCandidate
 Toolchain::planAt(engine::FrontCache &fronts, const BenchmarkSpec &bench,
-                  const LoopSpec &loop, std::size_t index,
-                  UnrollPolicy policy, int factor,
+                  const LoopSpec &loop, std::size_t index, int factor,
                   const LatencyScheme &scheme) const
 {
     // User workloads pick their own trip counts; an indivisible
@@ -83,7 +83,6 @@ Toolchain::planAt(engine::FrontCache &fronts, const BenchmarkSpec &bench,
             factor));
     }
     UnrollCandidate cand;
-    cand.policy = policy;
     cand.factor = factor;
     cand.front = frontAt(fronts, bench, loop, index, factor);
     const LoopFront &front = *cand.front;
@@ -108,7 +107,7 @@ Toolchain::scheduleCandidate(const BenchmarkSpec &bench,
     CompiledLoop out;
     out.name = loop.name;
     out.unrollFactor = cand.factor;
-    out.policyChosen = cand.policy;
+    out.policyChosen = opts_.unroll;
     out.invocations = loop.invocations;
     out.kernelIterations = loop.avgIterations / cand.factor;
     out.mii = cand.mii;
@@ -241,9 +240,9 @@ Toolchain::compileLoop(engine::FrontCache &fronts,
     const LatencyScheme scheme = makeScheme();
 
     if (opts_.unroll != UnrollPolicy::Selective) {
-        UnrollCandidate cand =
-            planAt(fronts, bench, loop, index, opts_.unroll,
-                   policy_factor(opts_.unroll), scheme);
+        UnrollCandidate cand = planAt(fronts, bench, loop, index,
+                                      policy_factor(opts_.unroll),
+                                      scheme);
         CompiledLoop out = scheduleCandidate(bench, loop, cand);
         materialise(out, cand);
         return out;
@@ -267,13 +266,12 @@ Toolchain::compileLoop(engine::FrontCache &fronts,
             cands.begin(), cands.end(),
             [&](const UnrollCandidate &c) { return c.factor == factor; });
         if (!seen) {
-            cands.push_back(planAt(fronts, bench, loop, index, policy,
-                                   factor, scheme));
+            cands.push_back(
+                planAt(fronts, bench, loop, index, factor, scheme));
         }
     }
     std::vector<std::size_t> order(cands.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
+    std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                          return cands[a].bound < cands[b].bound;
@@ -301,7 +299,6 @@ Toolchain::compileLoop(engine::FrontCache &fronts,
         }
     }
     materialise(best, cands[best_idx]);
-    best.policyChosen = UnrollPolicy::Selective;
     return best;
 }
 

@@ -60,7 +60,12 @@ struct ToolchainOptions
     std::uint64_t profileSeed = 0x9E1C;
     std::uint64_t execSeed = 0x51AD;
     ProfileOptions profile;
-    /** Scheduler escalation budget. */
+    /**
+     * Scheduler escalation budget. Exhausting it throws
+     * CompileError; under selective unrolling only a candidate that
+     * is scheduled can exhaust it, and one whose Texec bound already
+     * loses is never scheduled (see estimateTexec()).
+     */
     int maxIiTries = 64;
     /**
      * Compiler hints for the Attraction Buffers (paper Section
@@ -277,7 +282,6 @@ class Toolchain
      */
     struct UnrollCandidate
     {
-        UnrollPolicy policy = UnrollPolicy::None;
         int factor = 1;
         std::shared_ptr<const LoopFront> front;
         LatencyAssignment latency;
@@ -290,7 +294,7 @@ class Toolchain
     UnrollCandidate planAt(engine::FrontCache &fronts,
                            const BenchmarkSpec &bench,
                            const LoopSpec &loop, std::size_t index,
-                           UnrollPolicy policy, int factor,
+                           int factor,
                            const LatencyScheme &scheme) const;
 
     /**
