@@ -81,7 +81,11 @@ struct AdmissionLimits
  * leader of every workload in the window, and a workload that runs
  * out hands its place to the next workload in grid order. Leaders
  * keep grid order within each workload. Otherwise the order is
- * @p leaders unchanged.
+ * @p leaders unchanged: a bounded cache holds the fronts of only
+ * @p cacheCapacity workloads (and as many artifacts), and a window
+ * near or above that bound would evict entries later cells of the
+ * same workload still need, while grid order has only one or two
+ * workloads in flight at a time.
  */
 std::vector<int> dispatchOrder(const std::vector<int> &leaders,
                                const std::vector<int> &workloadOf,

@@ -77,10 +77,11 @@ struct SessionOptions
      */
     bool compileCache = true;
     /**
-     * Bound on resident compile-cache entries, applied to each
-     * tier (artifacts and loop front ends; LRU eviction, counted
-     * in cacheStats().evictions and .frontEvictions); 0 =
-     * unbounded. For long-lived serving sessions.
+     * Compile-cache bound for long-lived serving sessions: at most
+     * N artifacts, and the loop front ends of at most N workloads,
+     * each workload's fronts kept and evicted together (LRU;
+     * evictions counted in cacheStats().evictions and, per front,
+     * .frontEvictions); 0 = unbounded.
      */
     std::size_t cacheCapacity = 0;
     /**

@@ -2,6 +2,7 @@
 
 #include "support/metrics.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 
@@ -164,7 +165,7 @@ namespace detail {
 
 template <class Value>
 typename OnceMemo<Value>::Entry
-OnceMemo<Value>::get(const std::string &key,
+OnceMemo<Value>::get(const std::string &key, const std::string &group,
                      const std::function<Entry()> &build,
                      const std::function<void(bool)> &tally)
 {
@@ -178,16 +179,25 @@ OnceMemo<Value>::get(const std::string &key,
         if (it != entries_.end()) {
             hits_.fetch_add(1, std::memory_order_relaxed);
             counters_.hits->add();
-            lru_.splice(lru_.begin(), lru_, it->second.lruIt);
+            lru_.splice(lru_.begin(), lru_,
+                        it->second.group->second.lruIt);
             future = it->second.future;
         } else {
             misses_.fetch_add(1, std::memory_order_relaxed);
             counters_.misses->add();
             future = promise.get_future().share();
             myGen = ++nextGen_;
-            lru_.push_front(key);
-            entries_.emplace(key, Slot{future, lru_.begin(), myGen});
-            enforceCapacityLocked(key);
+            auto [git, fresh] = groups_.try_emplace(group);
+            GroupNode &node = *git;
+            if (fresh) {
+                lru_.push_front(&node);
+                node.second.lruIt = lru_.begin();
+            } else {
+                lru_.splice(lru_.begin(), lru_, node.second.lruIt);
+            }
+            node.second.members.push_back(
+                &*entries_.emplace(key, Slot{future, &node, myGen}).first);
+            enforceCapacityLocked();
             owner = true;
         }
     }
@@ -215,7 +225,8 @@ OnceMemo<Value>::get(const std::string &key,
         // happens BEFORE the exception is published (no window
         // where a ready-failed slot can be looked up and spun on)
         // and only under this owner's generation (never a
-        // successor's rebuild after an eviction).
+        // successor's rebuild after an eviction). A group left
+        // without entries leaves the recency list with it.
         try {
             promise.set_value(build());
         } catch (...) {
@@ -224,7 +235,12 @@ OnceMemo<Value>::get(const std::string &key,
                 auto it = entries_.find(key);
                 if (it != entries_.end() &&
                     it->second.gen == myGen) {
-                    lru_.erase(it->second.lruIt);
+                    Group &g = it->second.group->second;
+                    std::erase(g.members, &*it);
+                    if (g.members.empty()) {
+                        lru_.erase(g.lruIt);
+                        groups_.erase(group);
+                    }
                     entries_.erase(it);
                 }
             }
@@ -236,26 +252,32 @@ OnceMemo<Value>::get(const std::string &key,
 
 template <class Value>
 void
-OnceMemo<Value>::enforceCapacityLocked(const std::string &keep)
+OnceMemo<Value>::enforceCapacityLocked()
 {
     if (capacity_ == 0)
         return;
     auto victim = lru_.end();
-    while (entries_.size() > capacity_ && victim != lru_.begin()) {
+    while (groups_.size() > capacity_ && victim != lru_.begin()) {
         --victim;
-        if (*victim == keep)
+        const std::vector<Member *> &members = (*victim)->second.members;
+        // Only evict settled groups; an in-flight build has waiters
+        // parked on its future. (The entry being inserted is
+        // unsettled, so its own group always stays.)
+        const bool settled = std::all_of(
+            members.begin(), members.end(), [](const Member *m) {
+                return m->second.future.wait_for(std::chrono::seconds(
+                           0)) == std::future_status::ready;
+            });
+        if (!settled)
             continue;
-        auto it = entries_.find(*victim);
-        // Only evict settled entries; an in-flight build has
-        // waiters parked on its future.
-        if (it->second.future.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
-            continue;
-        }
-        entries_.erase(it);
+        // By iterator: erasing by key would pass a reference into
+        // the node being freed.
+        for (const Member *m : members)
+            entries_.erase(entries_.find(m->first));
+        evictions_.fetch_add(members.size(), std::memory_order_relaxed);
+        counters_.evictions->add(members.size());
+        groups_.erase(groups_.find((*victim)->first));
         victim = lru_.erase(victim);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        counters_.evictions->add();
     }
 }
 
@@ -265,6 +287,14 @@ OnceMemo<Value>::size() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return entries_.size();
+}
+
+template <class Value>
+std::size_t
+OnceMemo<Value>::groups() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return groups_.size();
 }
 
 template class OnceMemo<CompiledBenchmark>;
@@ -282,8 +312,9 @@ FrontCache::front(const MachineConfig &cfg, const ToolchainOptions &opts,
                   const BenchmarkSpec &bench, std::size_t loop,
                   int factor, const std::function<LoopFront()> &build)
 {
+    const std::string workload = benchIdentity(bench);
     return memo_.get(
-        frontKey(cfg, opts, benchIdentity(bench), loop, factor),
+        frontKey(cfg, opts, workload, loop, factor), workload,
         [&build] { return std::make_shared<const LoopFront>(build()); });
 }
 
@@ -302,8 +333,9 @@ CompileCache::compile(const MachineConfig &cfg,
 {
     const std::string key = compileKey(cfg, opts, benchIdentity(bench));
     bool compiled = false;
+    // Each artifact is its own group: the bound counts artifacts.
     const Entry entry = artifacts_.get(
-        key,
+        key, key,
         [&]() -> Entry {
             if (store_) {
                 if (Entry loaded = store_->load(key)) {

@@ -36,11 +36,19 @@
  * — possibly an uncancelled job — builds fresh instead of replaying
  * another job's failure.
  *
- * Capacity: one optional entry bound applies to each tier, turning
- * both memos into LRU caches for long-lived serving sessions;
- * evictions only drop the tier's own reference (in-flight compiles
- * and simulations keep their entries alive through the shared_ptr)
- * and are counted in the stats.
+ * Capacity: one optional bound N turns both memos into LRU caches
+ * for long-lived serving sessions. The artifact tier holds at most N
+ * artifacts. The front tier holds the fronts of at most N
+ * workloads (benchmark identities, name@fingerprint), because one
+ * compile of a workload reads several of its fronts (about 9 per
+ * builtin) and an artifact miss must find them all: it keeps LRU
+ * order over workloads and evicts all of a workload's fronts
+ * together. Neither tier evicts an entry whose build is still
+ * running, so a workload with a front in flight stays. Evictions
+ * only drop the tier's own reference (in-flight compiles and
+ * simulations keep their entries alive through the shared_ptr) and
+ * are counted per entry dropped: an evicted workload adds all its
+ * fronts to frontEvictions.
  *
  * Persistence: an optional PersistentCompileStore (the distributed
  * sweep fabric's content-addressed dist::CompileStore) backs the
@@ -65,6 +73,8 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/toolchain.hh"
 
@@ -122,7 +132,7 @@ struct CompileCacheStats
 {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    /** Entries dropped to respect the capacity bound. */
+    /** Artifacts dropped to respect the capacity bound. */
     std::uint64_t evictions = 0;
     /**
      * Persistent-store accounting (all zero without a store). A
@@ -133,7 +143,8 @@ struct CompileCacheStats
     std::uint64_t storeHits = 0;
     std::uint64_t storeMisses = 0;
     std::uint64_t stores = 0;
-    /** Front-tier (per loop and unroll factor) accounting. */
+    /** Front-tier (per loop and unroll factor) accounting;
+     *  frontEvictions counts fronts, not workloads. */
     std::uint64_t frontHits = 0;
     std::uint64_t frontMisses = 0;
     std::uint64_t frontEvictions = 0;
@@ -157,8 +168,11 @@ struct MemoCounters
 
 /**
  * Thread-safe once-per-key memo of immutable values with an
- * optional LRU entry bound: the machinery both compile tiers share
- * (instantiated for CompiledBenchmark and LoopFront only).
+ * optional LRU bound on groups of entries: the machinery both
+ * compile tiers share (instantiated for CompiledBenchmark and
+ * LoopFront only). Every entry belongs to one group; the bound
+ * counts groups, recency is kept per group, and eviction drops a
+ * whole group once none of its entries is still being built.
  */
 template <class Value>
 class OnceMemo
@@ -166,18 +180,19 @@ class OnceMemo
   public:
     using Entry = std::shared_ptr<const Value>;
 
-    /** @param capacity max resident entries; 0 = unbounded. */
+    /** @param capacity max resident groups; 0 = unbounded. */
     OnceMemo(std::size_t capacity, MemoCounters counters)
         : capacity_(capacity), counters_(counters)
     {
     }
 
     /**
-     * The value under @p key. The first requester runs @p build;
-     * concurrent requesters wait for it, and count a wait. @p tally,
-     * when given, sees every lookup's verdict (true = hit).
+     * The value under @p key, a member of @p group. The first
+     * requester runs @p build; concurrent requesters wait for it,
+     * and count a wait. @p tally, when given, sees every lookup's
+     * verdict (true = hit).
      */
-    Entry get(const std::string &key,
+    Entry get(const std::string &key, const std::string &group,
               const std::function<Entry()> &build,
               const std::function<void(bool)> &tally = {});
 
@@ -198,31 +213,48 @@ class OnceMemo
         return evictions_.load(std::memory_order_relaxed);
     }
 
+    /** Resident entries. */
     std::size_t size() const;
+    /** Resident groups. */
+    std::size_t groups() const;
     std::size_t capacity() const { return capacity_; }
 
   private:
-    /** One memoized value and its recency-list position. */
+    struct Group;
+    using GroupNode = std::pair<const std::string, Group>;
+
+    /** One memoized value and the group it belongs to. */
     struct Slot
     {
         std::shared_future<Entry> future;
-        std::list<std::string>::iterator lruIt;
+        /** Stable: unordered_map nodes never move. */
+        GroupNode *group = nullptr;
         /** Insertion identity: a failing owner may only remove
          *  the slot it created, never a successor's rebuild that
          *  reused the key after an eviction. */
         std::uint64_t gen = 0;
     };
+    using Member = std::pair<const std::string, Slot>;
 
-    /** Drop least-recently-used ready entries over capacity. */
-    void enforceCapacityLocked(const std::string &keep);
+    /** The resident entries of one group and its recency. */
+    struct Group
+    {
+        std::list<GroupNode *>::iterator lruIt;
+        std::vector<Member *> members;
+    };
+
+    /** Drop least-recently-used groups over capacity whose
+     *  entries are all settled. */
+    void enforceCapacityLocked();
 
     const std::size_t capacity_;
     const MemoCounters counters_;
     mutable std::mutex mu_;
     std::uint64_t nextGen_ = 0;
     std::unordered_map<std::string, Slot> entries_;
+    std::unordered_map<std::string, Group> groups_;
     /** Front = most recently used. */
-    std::list<std::string> lru_;
+    std::list<GroupNode *> lru_;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};
@@ -239,7 +271,8 @@ class FrontCache
   public:
     using Entry = std::shared_ptr<const LoopFront>;
 
-    /** @param capacity max resident fronts; 0 = unbounded. */
+    /** @param capacity max workloads whose fronts stay resident;
+     *  0 = unbounded. */
     explicit FrontCache(std::size_t capacity = 0);
 
     /**
@@ -255,6 +288,8 @@ class FrontCache
     std::uint64_t evictions() const { return memo_.evictions(); }
     /** Distinct fronts currently held. */
     std::size_t size() const { return memo_.size(); }
+    /** Workloads with fronts currently held. */
+    std::size_t workloads() const { return memo_.groups(); }
 
   private:
     detail::OnceMemo<LoopFront> memo_;
@@ -267,7 +302,8 @@ class CompileCache
     using Entry = std::shared_ptr<const CompiledBenchmark>;
 
     /**
-     * @param capacity max resident entries per tier; 0 = unbounded.
+     * @param capacity max resident artifacts, and max workloads
+     *                 whose fronts stay resident; 0 = unbounded.
      * @param store    optional persistent backing store shared
      *                 across processes; null = memory only.
      */

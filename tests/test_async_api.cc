@@ -742,12 +742,9 @@ paperGrid()
 
 TEST(DispatchOrder, BoundedCacheDoesNotThrashTheFrontTier)
 {
-    // Interleaving workloads through a 24-entry cache would evict
-    // fronts a later cell of the same workload still needs: about
-    // 815 front misses against 130 at jobs 1. Grid order keeps jobs 4
-    // near the jobs-1 count, but not always at it: when two
-    // neighbouring workloads' compiles overlap, LRU eviction depends
-    // on timing (130-136 measured), hence the quarter of slack.
+    // A bound of 24 holds the fronts of all 14 workloads, so no
+    // front is evicted and both job counts build each of the 130
+    // fronts exactly once.
     std::uint64_t misses[2] = {0, 0};
     std::string csv[2];
     for (const int jobs : {1, 4}) {
@@ -760,7 +757,7 @@ TEST(DispatchOrder, BoundedCacheDoesNotThrashTheFrontTier)
     }
     EXPECT_EQ(csv[1], csv[0]);
     EXPECT_EQ(misses[0], 130u);
-    EXPECT_LE(misses[1], misses[0] + misses[0] / 4);
+    EXPECT_EQ(misses[1], 130u);
 }
 
 } // namespace

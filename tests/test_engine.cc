@@ -17,6 +17,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "api/session.hh"
 #include "ddg/mii.hh"
@@ -27,6 +28,7 @@
 #include "engine/report.hh"
 #include "engine/worker_pool.hh"
 #include "sched/unroll_policy.hh"
+#include "support/metrics.hh"
 #include "workloads/dataset.hh"
 #include "workloads/mediabench.hh"
 #include "workloads/profiler.hh"
@@ -486,6 +488,17 @@ profilesEqual(const ProfileMap &a, const ProfileMap &b)
     return ::testing::AssertionSuccess();
 }
 
+/** The five paper archs, as in the default grid. */
+std::vector<std::pair<std::string, MachineConfig>>
+paperArchs()
+{
+    return {{"interleaved", MachineConfig::paperInterleaved()},
+            {"interleaved-ab", MachineConfig::paperInterleavedAb()},
+            {"unified1", MachineConfig::paperUnified(1)},
+            {"unified5", MachineConfig::paperUnified(5)},
+            {"multivliw", MachineConfig::paperMultiVliw()}};
+}
+
 /** The profile of @p loop's original body, as profiling sees it. */
 ProfileMap
 originalProfile(const BenchmarkSpec &bench, const LoopSpec &loop,
@@ -501,14 +514,8 @@ originalProfile(const BenchmarkSpec &bench, const LoopSpec &loop,
 TEST(FrontTier, SharedAcrossHeuristicsArchsAndOptionsByteIdentically)
 {
     const BenchmarkSpec epic = makeBenchmark("epicdec");
-    const std::vector<std::pair<std::string, MachineConfig>> archs = {
-        {"interleaved", MachineConfig::paperInterleaved()},
-        {"interleaved-ab", MachineConfig::paperInterleavedAb()},
-        {"unified1", MachineConfig::paperUnified(1)},
-        {"unified5", MachineConfig::paperUnified(5)},
-        {"multivliw", MachineConfig::paperMultiVliw()}};
     engine::CompileCache cache;
-    for (const auto &[arch, cfg] : archs) {
+    for (const auto &[arch, cfg] : paperArchs()) {
         for (const Heuristic h :
              {Heuristic::Base, Heuristic::Ibc, Heuristic::Ipbc}) {
             for (const bool versioning : {false, true}) {
@@ -625,28 +632,161 @@ TEST(FrontTier, ThrowingFrontVacatesItsSlot)
     EXPECT_EQ(fronts.hits(), 0u);
 }
 
-TEST(FrontTier, CapacityBoundsFrontsWithoutChangingArtifacts)
+TEST(FrontTier, CapacityBoundsWorkloadsWithoutChangingArtifacts)
 {
-    const BenchmarkSpec epic = makeBenchmark("epicdec");
+    // Four workloads, twice round, under bounds below, at and above
+    // their count: every artifact equals the unbounded cache's, and
+    // the front tier never holds more than `capacity` workloads.
     const MachineConfig cfg = MachineConfig::paperInterleaved();
-    ToolchainOptions opts;
-    opts.loopVersioning = true;
-    engine::CompileCache bounded(/*capacity=*/2);
+    std::vector<BenchmarkSpec> benches;
+    for (const char *name : {"gsmdec", "rasta", "epicdec", "g721dec"})
+        benches.push_back(makeBenchmark(name));
     engine::CompileCache unbounded;
-    for (const Heuristic h :
-         {Heuristic::Base, Heuristic::Ibc, Heuristic::Ipbc}) {
-        opts.heuristic = h;
-        const std::string key = engine::compileKey(cfg, opts, epic.name);
-        EXPECT_EQ(
-            dist::encodeArtifact(*bounded.compile(cfg, opts, epic), key),
-            dist::encodeArtifact(*unbounded.compile(cfg, opts, epic),
-                                 key));
-        EXPECT_LE(bounded.fronts().size(), 2u);
+    for (const std::size_t capacity : {1u, 2u, 4u, 24u}) {
+        engine::CompileCache bounded(capacity);
+        for (int round = 0; round < 2; ++round) {
+            for (const BenchmarkSpec &bench : benches) {
+                for (const Heuristic h :
+                     {Heuristic::Base, Heuristic::Ibc, Heuristic::Ipbc}) {
+                    ToolchainOptions opts;
+                    opts.heuristic = h;
+                    opts.loopVersioning = true;
+                    const std::string key =
+                        engine::compileKey(cfg, opts, bench.name);
+                    EXPECT_EQ(
+                        dist::encodeArtifact(
+                            *bounded.compile(cfg, opts, bench), key),
+                        dist::encodeArtifact(
+                            *unbounded.compile(cfg, opts, bench), key))
+                        << capacity << "/" << bench.name << "/"
+                        << heuristicName(h);
+                    EXPECT_LE(bounded.fronts().workloads(), capacity);
+                }
+            }
+        }
+        const CompileCacheStats stats = bounded.stats();
+        if (capacity < benches.size()) {
+            EXPECT_GT(stats.frontEvictions, 0u) << capacity;
+            EXPECT_GT(stats.frontMisses, unbounded.stats().frontMisses)
+                << capacity;
+        } else {
+            EXPECT_EQ(stats.frontEvictions, 0u) << capacity;
+            EXPECT_EQ(stats.frontMisses, unbounded.stats().frontMisses)
+                << capacity;
+        }
     }
-    EXPECT_GT(bounded.stats().frontEvictions, 0u);
-    EXPECT_GT(bounded.stats().frontMisses,
-              unbounded.stats().frontMisses);
     EXPECT_EQ(unbounded.stats().frontEvictions, 0u);
+}
+
+TEST(FrontTier, CapacityOneHoldsAWholeWorkload)
+{
+    // One workload's fronts fit under any bound: every artifact of
+    // epicdec profiles each (loop, factor) once, as unbounded.
+    const BenchmarkSpec epic = makeBenchmark("epicdec");
+    engine::CompileCache bounded(/*capacity=*/1);
+    engine::CompileCache unbounded;
+    for (const auto &[arch, cfg] : paperArchs()) {
+        for (const Heuristic h :
+             {Heuristic::Base, Heuristic::Ibc, Heuristic::Ipbc}) {
+            ToolchainOptions opts;
+            opts.heuristic = h;
+            opts.loopVersioning = true;
+            const std::string key = engine::compileKey(cfg, opts, epic.name);
+            EXPECT_EQ(
+                dist::encodeArtifact(*bounded.compile(cfg, opts, epic), key),
+                dist::encodeArtifact(*unbounded.compile(cfg, opts, epic),
+                                     key))
+                << arch << "/" << heuristicName(h);
+        }
+    }
+    EXPECT_EQ(bounded.stats().frontMisses, unbounded.stats().frontMisses);
+    EXPECT_EQ(bounded.stats().frontEvictions, 0u);
+    EXPECT_GT(bounded.stats().evictions, 0u);
+    EXPECT_EQ(bounded.fronts().workloads(), 1u);
+}
+
+TEST(FrontTier, EvictsTheLeastRecentWorkloadAsAGroup)
+{
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    const BenchmarkSpec a = makeBenchmark("gsmdec");
+    const BenchmarkSpec b = makeBenchmark("rasta");
+    const BenchmarkSpec c = makeBenchmark("g721dec");
+    const metrics::Counter &evicted = metrics::registry().counter(
+        "wivliw_compile_front_evictions_total");
+    const std::uint64_t evictedBefore = evicted.value();
+    engine::CompileCache cache(/*capacity=*/2);
+    // The fronts one new artifact of @p bench had to build.
+    auto built = [&](const BenchmarkSpec &bench, Heuristic h) {
+        ToolchainOptions opts;
+        opts.heuristic = h;
+        const std::uint64_t misses = cache.stats().frontMisses;
+        cache.compile(cfg, opts, bench);
+        EXPECT_LE(cache.fronts().workloads(), 2u) << bench.name;
+        return cache.stats().frontMisses - misses;
+    };
+    const std::uint64_t aFronts = built(a, Heuristic::Ipbc);
+    const std::uint64_t bFronts = built(b, Heuristic::Ipbc);
+    ASSERT_GT(aFronts, 0u);
+    ASSERT_GT(bFronts, 0u);
+    // A second artifact of A reads A's resident fronts and makes A
+    // the most recent workload.
+    EXPECT_EQ(built(a, Heuristic::Base), 0u);
+    // C's arrival evicts B, the least recent workload, whole; each
+    // of its fronts counts as one eviction.
+    const std::uint64_t cFronts = built(c, Heuristic::Ipbc);
+    EXPECT_EQ(cache.stats().frontEvictions, bFronts);
+    EXPECT_EQ(cache.fronts().size(), aFronts + cFronts);
+    EXPECT_EQ(built(a, Heuristic::Ibc), 0u);
+    // B builds every front again, and evicts C (order A, C).
+    EXPECT_EQ(built(b, Heuristic::Base), bFronts);
+    EXPECT_EQ(cache.stats().frontEvictions, bFronts + cFronts);
+    EXPECT_EQ(cache.fronts().size(), aFronts + bFronts);
+    EXPECT_EQ(evicted.value() - evictedBefore, bFronts + cFronts);
+}
+
+TEST(FrontTier, WorkloadWithAFrontInFlightIsNotEvicted)
+{
+    const MachineConfig cfg = MachineConfig::paperInterleaved();
+    const ToolchainOptions opts;
+    const BenchmarkSpec a = makeBenchmark("gsmdec");
+    const BenchmarkSpec b = makeBenchmark("rasta");
+    const BenchmarkSpec c = makeBenchmark("g721dec");
+    auto frontOf = [](const BenchmarkSpec &bench) {
+        return [&bench] {
+            LoopFront f;
+            f.ddg = bench.loops.front().body;
+            return f;
+        };
+    };
+    engine::FrontCache fronts(/*capacity=*/1);
+    fronts.front(cfg, opts, a, 0, 1, frontOf(a));
+    std::latch building(1);
+    std::latch release(1);
+    std::thread builder([&] {
+        fronts.front(cfg, opts, a, 0, 2, [&] {
+            building.count_down();
+            release.wait();
+            return frontOf(a)();
+        });
+    });
+    building.wait();
+    // B puts two workloads over a bound of one, but A has a front
+    // in flight: neither it nor A's settled front is dropped.
+    fronts.front(cfg, opts, b, 0, 1, frontOf(b));
+    EXPECT_EQ(fronts.workloads(), 2u);
+    EXPECT_EQ(fronts.size(), 3u);
+    EXPECT_EQ(fronts.evictions(), 0u);
+    release.count_down();
+    builder.join();
+    fronts.front(cfg, opts, a, 0, 1, frontOf(a));
+    EXPECT_EQ(fronts.hits(), 1u);
+    EXPECT_EQ(fronts.misses(), 3u);
+
+    // Settled again, both go as soon as a third workload arrives.
+    fronts.front(cfg, opts, c, 0, 1, frontOf(c));
+    EXPECT_EQ(fronts.workloads(), 1u);
+    EXPECT_EQ(fronts.size(), 1u);
+    EXPECT_EQ(fronts.evictions(), 3u);
 }
 
 TEST(FrontTier, FactorOneFrontProfileIsTheOriginalBodyProfile)
@@ -673,17 +813,6 @@ TEST(FrontTier, FactorOneFrontProfileIsTheOriginalBodyProfile)
 }
 
 // ---- twin cells (BASE/IBC) ----
-
-/** The 14 builtins x 5 paper archs, as in the default grid. */
-std::vector<std::pair<std::string, MachineConfig>>
-paperArchs()
-{
-    return {{"interleaved", MachineConfig::paperInterleaved()},
-            {"interleaved-ab", MachineConfig::paperInterleavedAb()},
-            {"unified1", MachineConfig::paperUnified(1)},
-            {"unified5", MachineConfig::paperUnified(5)},
-            {"multivliw", MachineConfig::paperMultiVliw()}};
-}
 
 TEST(TwinCells, BaseAndIbcCompileToIdenticalArtifacts)
 {

@@ -177,8 +177,9 @@ usage(int code)
         "per line), responses and job events on stdout. All jobs\n"
         "share one api::Session (and so one compile cache).\n"
         "  --jobs N           worker threads (default 1, N >= 1)\n"
-        "  --cache-capacity N compile-cache entry bound, per tier\n"
-        "                     (artifacts, loop front ends; 0 = off)\n"
+        "  --cache-capacity N compile-cache bound: N artifacts, and\n"
+        "                     the loop front ends of N workloads\n"
+        "                     (LRU; default 0 = unbounded)\n"
         "  --queue N          event-queue bound (default 256);\n"
         "                     a full queue blocks workers instead\n"
         "                     of buffering without bound\n"
