@@ -313,8 +313,8 @@ class Session
 
     /**
      * Point-in-time copy of the metrics registry: every counter,
-     * gauge and latency histogram the executor, pool, cache, store,
-     * coordinator and fault layer maintain (names and semantics in
+     * gauge and latency histogram the executor, pool, cache, store
+     * and fault layer maintain (names and semantics in
      * docs/OPERATIONS.md). The registry is process-wide — sessions
      * share it — and counters are monotonic, so consumers diff two
      * snapshots to attribute activity to an interval.

@@ -352,9 +352,9 @@ struct LoopKernels
 
 /**
  * Simulate every loop of a compiled benchmark against one execution
- * data set, using kernels previously prepared on @p ws. This is the
- * per-dataset body both simulateBenchmark() and simulateBatch()
- * share; @p mem must be freshly constructed or resetAll().
+ * data set, using kernels previously prepared on @p ws. This is
+ * simulateBatch()'s per-dataset body; @p mem must be freshly
+ * constructed or resetAll().
  */
 BenchmarkRun
 simulateDataset(const MachineConfig &cfg, const BenchmarkSpec &bench,
@@ -469,20 +469,7 @@ BenchmarkRun
 Toolchain::simulateBenchmark(const BenchmarkSpec &bench,
                              const CompiledBenchmark &compiledBench) const
 {
-    vliw_assert(compiledBench.loops.size() == bench.loops.size(),
-                "compiled benchmark ", compiledBench.name,
-                " does not match spec ", bench.name);
-
-    SimWorkspace &ws = threadSimWorkspace();
-    ws.clearKernels();
-    const std::vector<LoopKernels> kernels =
-        prepareKernels(compiledBench, ws);
-
-    const DataSet exec_ds = makeDataSet(bench, cfg_, opts_.execSeed,
-                                        opts_.varAlignment);
-    auto mem = makeMemSystem(cfg_);
-    return simulateDataset(cfg_, bench, compiledBench, kernels, ws,
-                           *mem, exec_ds);
+    return simulateBatch(bench, compiledBench, {opts_.execSeed}).front();
 }
 
 std::vector<BenchmarkRun>

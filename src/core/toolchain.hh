@@ -227,9 +227,10 @@ class Toolchain
 
     /**
      * Simulate a previously compiled benchmark on the EXECUTION
-     * data set. @p compiled may come from this toolchain or from a
-     * cache shared between toolchains whose compile-relevant
-     * options match (see engine::compileKey).
+     * data set: a one-seed simulateBatch(). @p compiled may come
+     * from this toolchain or from a cache shared between
+     * toolchains whose compile-relevant options match (see
+     * engine::compileKey).
      */
     BenchmarkRun simulateBenchmark(const BenchmarkSpec &bench,
                                    const CompiledBenchmark &compiled) const;

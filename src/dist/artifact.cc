@@ -411,7 +411,7 @@ decodeArtifact(std::string_view bytes)
     out.library = r.str();
     if (r.ok() && out.library != libraryVersion()) {
         // Schedules are only guaranteed reproducible within one
-        // library version; a fleet mixing versions must not share
+        // library version; processes mixing versions must not share
         // artifacts across the boundary.
         return api::Status::error(
             api::StatusCode::FailedPrecondition,

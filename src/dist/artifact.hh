@@ -1,7 +1,7 @@
 /**
  * @file
- * Versioned serialization of compiled benchmarks — the wire/disk
- * format of the distributed sweep fabric. An encoded artifact
+ * Versioned serialization of compiled benchmarks — the disk format
+ * of the persistent compile store. An encoded artifact
  * round-trips a CompiledBenchmark bit-exactly: every schedule
  * placement, copy operation, II/stage count, latency class,
  * profile record and unroll decision comes back equal, so a

@@ -2,10 +2,9 @@
  * @file
  * Content-addressed persistent store of compiled-benchmark
  * artifacts, shared by every process pointed at the same directory
- * (`--store DIR` on wivliw_run and wivliw_serve). This is the
- * disk layer of the distributed sweep fabric: a fleet of daemons
- * mounted on one store compiles each distinct configuration once
- * across the whole fleet, and a restarted daemon starts warm.
+ * (`--store DIR` on wivliw_run and wivliw_serve): processes
+ * mounted on one store compile each distinct configuration once
+ * between them, and a restarted daemon starts warm.
  *
  * Addressing: entries are keyed by the canonical compile key
  * (engine::compileKey — the exact string the in-memory CompileCache

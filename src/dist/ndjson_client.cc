@@ -45,8 +45,8 @@ NdjsonClient::connect(const std::string &path, int recvTimeoutMs)
         return false;
     }
     // Writes go straight to the fd with MSG_NOSIGNAL: a daemon
-    // that hung up must surface as a failed send the coordinator
-    // can retry elsewhere, not as a process-killing SIGPIPE.
+    // that hung up must surface as a failed send the caller can
+    // handle, not as a process-killing SIGPIPE.
     fd_ = fd;
     return true;
 }
@@ -69,7 +69,7 @@ NdjsonClient::sendLine(const std::string &line)
         return false;
     if (faults::fire("client.send").fired()) {
         // Injected transport loss: indistinguishable from a daemon
-        // hangup, so it exercises exactly the retry path.
+        // hangup, so it exercises exactly the caller's hangup path.
         close();
         return false;
     }

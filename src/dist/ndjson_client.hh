@@ -2,14 +2,13 @@
  * @file
  * Client side of the wivliw_serve NDJSON protocol over a
  * unix-domain socket: connect, write one JSON object per line,
- * read lines back. The SweepCoordinator drives one of these per
- * worker endpoint.
+ * read lines back. wivliw_load and perfbench's serve workload drive
+ * the daemon through it.
  *
  * Error model: every call is non-throwing; a dead or hung-up
- * daemon turns into a failed send/recv, which the coordinator
- * treats as "worker lost" and handles by requeueing the worker's
- * cells — so the transport deliberately has no retry logic of its
- * own.
+ * daemon turns into a failed send/recv, and retrying is the
+ * caller's decision — the transport deliberately has no retry
+ * logic of its own.
  */
 
 #ifndef WIVLIW_DIST_NDJSON_CLIENT_HH
@@ -42,8 +41,8 @@ class NdjsonClient
      * @p recvTimeoutMs > 0 arms a per-attempt transport timeout
      * (SO_RCVTIMEO/SO_SNDTIMEO): a single blocking read or write
      * stuck longer than this fails the call, which callers treat
-     * exactly like a hangup — close, retry elsewhere. 0 keeps the
-     * old block-forever behaviour.
+     * exactly like a hangup. 0 keeps the old block-forever
+     * behaviour.
      */
     bool connect(const std::string &path, int recvTimeoutMs = 0);
 

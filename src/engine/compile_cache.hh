@@ -50,12 +50,12 @@
  * are counted per entry dropped: an evicted workload adds all its
  * fronts to frontEvictions.
  *
- * Persistence: an optional PersistentCompileStore (the distributed
- * sweep fabric's content-addressed dist::CompileStore) backs the
- * artifact tier. A key that misses in memory is first looked up in
- * the store (a store hit skips the compile entirely — this is how
- * a fleet of daemons shares compiles across processes and
- * restarts); a compile that ran publishes its artifact back to the
+ * Persistence: an optional PersistentCompileStore (the
+ * content-addressed dist::CompileStore) backs the artifact tier. A
+ * key that misses in memory is first looked up in the store (a
+ * store hit skips the compile entirely — this is how daemons and
+ * CLI runs share compiles across processes and restarts); a
+ * compile that ran publishes its artifact back to the
  * store. The store never affects results: a corrupt, stale or
  * missing entry is just a store miss.
  */

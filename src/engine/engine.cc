@@ -128,9 +128,9 @@ runExperiment(const ExperimentSpec &spec, CompileCache *cache,
             return result;
         }
 
-        // Simulation always goes through the batched entry point:
-        // a one-entry batch is bit-identical to the classic
-        // single-input simulateBenchmark() call.
+        // Simulation always goes through the batched entry point,
+        // one seed per data set (simulateBenchmark() is the
+        // one-seed case).
         const std::vector<std::uint64_t> seeds =
             spec.execSeeds.empty()
                 ? std::vector<std::uint64_t>{spec.opts.execSeed}

@@ -31,8 +31,8 @@
  *
  * Fault points alter TIMING and AVAILABILITY, never result values:
  * every armed failure lands on a path the system already defends
- * (store corruption degrades to a recompile, transport loss is
- * retried, delays only slow things down).
+ * (store corruption degrades to a recompile, transport loss fails
+ * the client call, delays only slow things down).
  *
  * Well-known points: engine.cell (delay before a cell runs),
  * store.load, store.store (persistent compile store), serve.submit

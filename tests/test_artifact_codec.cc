@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the distributed-sweep artifact codec and the
+ * Tests for the compiled-artifact codec and the
  * content-addressed compile store:
  *
  *  - round-trip bit-identity across the full benchmark x
@@ -102,7 +102,7 @@ TEST(ArtifactCodec, DecodedArtifactSimulatesIdentically)
 {
     // Simulation reads every field the codec carries; identical
     // cycle/stat outcomes over decoded artifacts are the
-    // end-to-end proof the distributed fabric can substitute a
+    // end-to-end proof the compile store can substitute a
     // stored artifact for a fresh compile.
     for (const std::string &arch :
          api::builtinRegistries().archs.names()) {

@@ -293,7 +293,7 @@ TEST(CliContract, RunHelpListsEveryReadmeFlag)
          "--list-heuristics", "--list-unrolls", "--list-benches",
          "--sweep", "--benches", "--archs", "--heuristics",
          "--unrolls", "--jobs", "--datasets", "--no-compile-cache",
-         "--timing", "--remote", "--store", "--csv", "--json",
+         "--timing", "--store", "--csv", "--json",
          "--version", "--help", "--bench-file",
          "--no-builtin-benches", "--export-benches", "--dump-ddg",
          "--gap-report", "--optimal", "--gap-gate"});

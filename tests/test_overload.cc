@@ -11,9 +11,6 @@
  *     StatusCode::DeadlineExceeded with the completed prefix of
  *     the sweep kept, through the same cooperative cancel plumbing
  *     cancellation uses;
- *   - backoff: capped exponential delays with deterministic
- *     jitter, tested against a virtual clock — no wall-clock
- *     sleeps anywhere in these tests;
  *   - fault points: spec parsing, deterministic selective firing,
  *     atomic rejection of malformed specs;
  *   - degradation: a corrupted persistent-store entry silently
@@ -33,7 +30,6 @@
 #include <vector>
 
 #include "api/api.hh"
-#include "dist/backoff.hh"
 #include "engine/report.hh"
 #include "support/faultpoints.hh"
 
@@ -46,76 +42,6 @@ struct FaultGuard
     FaultGuard() { faults::disarm(); }
     ~FaultGuard() { faults::disarm(); }
 };
-
-// ---- backoff ---------------------------------------------------------
-
-TEST(Backoff, DelaysAreBoundedCappedAndDeterministic)
-{
-    dist::BackoffPolicy policy;
-    policy.baseMs = 25;
-    policy.capMs = 2000;
-    policy.multiplier = 2.0;
-    policy.seed = 7;
-    const dist::Backoff backoff(policy);
-
-    double ceil = 25.0;
-    for (int attempt = 1; attempt <= 10; ++attempt) {
-        const int delay = backoff.delayMs(attempt, /*stream=*/3);
-        const int window = int(std::min(ceil, 2000.0));
-        EXPECT_GE(delay, window / 2)
-            << "attempt " << attempt << " under the jitter floor";
-        EXPECT_LE(delay, window)
-            << "attempt " << attempt << " over the ceiling";
-        ceil *= 2.0;
-    }
-
-    // Same policy, seed and stream: the exact same schedule.
-    const dist::Backoff again(policy);
-    for (int attempt = 1; attempt <= 10; ++attempt)
-        EXPECT_EQ(backoff.delayMs(attempt, 3),
-                  again.delayMs(attempt, 3));
-
-    // Different streams decorrelate (that is the point of the
-    // jitter: a fleet must not retry in lockstep).
-    bool anyDiffer = false;
-    for (int attempt = 1; attempt <= 10 && !anyDiffer; ++attempt)
-        anyDiffer = backoff.delayMs(attempt, 3) !=
-            backoff.delayMs(attempt, 4);
-    EXPECT_TRUE(anyDiffer);
-}
-
-TEST(Backoff, SleepsThroughTheInjectedVirtualClock)
-{
-    dist::BackoffPolicy policy;
-    policy.baseMs = 10;
-    policy.capMs = 80;
-    policy.seed = 1;
-    std::vector<int> slept;
-    const dist::Backoff backoff(
-        policy, [&slept](int ms) { slept.push_back(ms); });
-
-    backoff.sleepFor(1, 9);
-    backoff.sleepFor(2, 9);
-    backoff.sleepFor(3, 9);
-    ASSERT_EQ(slept.size(), 3u);
-    EXPECT_EQ(slept[0], backoff.delayMs(1, 9));
-    EXPECT_EQ(slept[1], backoff.delayMs(2, 9));
-    EXPECT_EQ(slept[2], backoff.delayMs(3, 9));
-}
-
-TEST(Backoff, AttemptBudgetExhaustion)
-{
-    dist::BackoffPolicy policy;
-    policy.maxAttempts = 3;
-    const dist::Backoff backoff(policy);
-    EXPECT_FALSE(backoff.exhausted(2));
-    EXPECT_TRUE(backoff.exhausted(3));
-    EXPECT_TRUE(backoff.exhausted(4));
-
-    // 0/negative budgets degrade to one attempt, never zero.
-    policy.maxAttempts = 0;
-    EXPECT_TRUE(dist::Backoff(policy).exhausted(1));
-}
 
 // ---- fault points ----------------------------------------------------
 

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "api/session.hh"
+#include "engine/report.hh"
 #include "support/json.hh"
 
 namespace vliw {
@@ -335,8 +338,22 @@ TEST(ServeDaemon, OneSessionSharesCompileCacheAcrossJobs)
     daemon.send(R"({"op":"cache-stats"})");
     const json::Value stats = daemon.readResponse();
     EXPECT_TRUE(stats.getBool("ok"));
-    ASSERT_NE(stats.find("cache"), nullptr);
-    EXPECT_GE(stats.find("cache")->getInt("hits"), 1);
+    const json::Value *statsCache = stats.find("cache");
+    ASSERT_NE(statsCache, nullptr);
+    EXPECT_GE(statsCache->getInt("hits"), 1);
+
+    // The front tier is reported next to the artifact tier. Only the
+    // first job's artifact miss reached it; the second job hit the
+    // artifact tier and never built a front.
+    for (const char *key :
+         {"front_hits", "front_misses", "front_evictions"}) {
+        EXPECT_NE(firstCache->find(key), nullptr) << key;
+        EXPECT_NE(statsCache->find(key), nullptr) << key;
+    }
+    EXPECT_GE(firstCache->getInt("front_misses"), 1);
+    EXPECT_EQ(statsCache->getInt("front_misses"),
+              firstCache->getInt("front_misses"));
+    EXPECT_EQ(statsCache->getInt("front_evictions"), 0);
 
     EXPECT_EQ(daemon.finish(), 0);
 }
@@ -753,6 +770,65 @@ TEST(ServeDaemon, RegisterWorkloadOverTheWireIsSweepable)
     EXPECT_NE(conflict.getString("error").find("already"),
               std::string::npos);
     EXPECT_EQ(daemon.finish(), 0);
+}
+
+TEST(ServeDaemon, WireRegisteredSweepMatchesInProcessSessionBytes)
+{
+    // A kernel registered over the wire and swept with a solver arm
+    // and three data sets yields the same CSV bytes as an in-process
+    // Session sweep of the same text and axes.
+    const std::string kernel =
+        "benchmark wiresolve {\n"
+        "  symbol src size 4096\n"
+        "  symbol dst size 4096\n"
+        "  loop l trip 64 {\n"
+        "    x = load src gran 4 stride 4\n"
+        "    a = intalu from x\n"
+        "    m = intmul from a x\n"
+        "    s = store dst gran 4 stride 4 value m\n"
+        "    dep a -> a kind flow dist 1\n"
+        "  }\n"
+        "}\n";
+
+    DaemonClient daemon({"--jobs", "2"});
+    daemon.send(R"({"op":"register-workload","source":)" +
+                json::quoted(kernel) + "}");
+    ASSERT_TRUE(daemon.readResponse().getBool("ok"));
+    daemon.send(R"({"op":"submit","workloads":["wiresolve"],)"
+                R"("archs":["interleaved","interleaved-ab",)"
+                R"("unified1"],"schedulers":["ipbc",)"
+                R"("optimal:n20000"],"datasets":3})");
+    const json::Value submitted = daemon.readResponse();
+    ASSERT_TRUE(submitted.getBool("ok"));
+    EXPECT_EQ(submitted.getInt("total"), 6);
+    const std::int64_t job = submitted.getInt("job");
+    EXPECT_EQ(daemon.readEventsUntil("finished").back().getString(
+                  "status"),
+              "ok");
+    daemon.send(R"({"op":"result","job":)" + std::to_string(job) +
+                "}");
+    const json::Value result = daemon.readResponse();
+    ASSERT_TRUE(result.getBool("ok"));
+    EXPECT_EQ(daemon.finish(), 0);
+
+    api::SessionOptions opts;
+    opts.jobs = 2;
+    api::Session session(opts);
+    ASSERT_TRUE(session.registerWorkloadText("", kernel).ok());
+    api::SweepRequest req;
+    req.workloads = {"wiresolve"};
+    req.archs = {"interleaved", "interleaved-ab", "unified1"};
+    req.schedulers = {"ipbc", "optimal:n20000"};
+    req.datasets = 3;
+    auto local = session.sweep(req);
+    ASSERT_TRUE(local.ok()) << local.status().toString();
+    std::ostringstream csv;
+    engine::writeCsv(csv, local.value().experiments);
+
+    // The solver arm is really in the grid: its outcome column is
+    // part of what must match.
+    EXPECT_NE(csv.str().find(",solver"), std::string::npos);
+    EXPECT_EQ(result.getString("csv"), csv.str());
 }
 
 TEST(ServeDaemon, MalformedWorkloadSourceIsASoftError)

@@ -31,12 +31,9 @@
 #include "api/api.hh"
 #include "core/versioning.hh"
 #include "ddg/dot.hh"
-#include "dist/coordinator.hh"
-#include "dist/ndjson_client.hh"
 #include "engine/report.hh"
 #include "opt/gap_report.hh"
 #include "sched/schedule_dump.hh"
-#include "support/json.hh"
 #include "support/table.hh"
 
 using namespace vliw;
@@ -82,9 +79,6 @@ struct CliOptions
     std::string unrolls;
     /** Persistent compile-store directory (any mode). */
     std::string storeDir;
-    /** Comma list of wivliw_serve unix-socket endpoints; when set
-     *  the sweep runs distributed (CSV output, see README). */
-    std::string remote;
     /** First sweep-only flag seen, for misuse diagnostics. */
     std::string sweepOnlyFlag;
     // Optimality-gap mode.
@@ -153,11 +147,6 @@ usage(int code)
         "                     run BASE/IBC twin cells separately\n"
         "  --timing           per-job compile/simulate wall-time\n"
         "                     columns plus aggregated totals\n"
-        "  --remote LIST      comma-separated wivliw_serve unix\n"
-        "                     socket paths; shard the sweep's cells\n"
-        "                     across them and merge a CSV report\n"
-        "                     byte-identical to the local sweep\n"
-        "                     (see README 'Distributed sweeps')\n"
         "optimality gap (docs/SCHEDULERS.md):\n"
         "  --gap-report       run the heuristics next to the exact\n"
         "                     solver over benches x archs and report\n"
@@ -324,10 +313,6 @@ parseArgs(int argc, char **argv)
             cli.gapGate = true;
         else if (arg == "--store")
             cli.storeDir = value("--store");
-        else if (arg == "--remote") {
-            cli.remote = value("--remote");
-            cli.sweepOnlyFlag = arg;
-        }
         else if (arg == "--version") {
             std::printf("%s\n", libraryVersionLine().c_str());
             std::exit(0);
@@ -367,10 +352,9 @@ parseArgs(int argc, char **argv)
                      cli.gapGate ? "--gap-gate" : "--optimal");
         usage(2);
     }
-    if (cli.gapReport && (cli.sweep || !cli.remote.empty())) {
+    if (cli.gapReport && cli.sweep) {
         std::fprintf(stderr,
-                     "--gap-report is its own mode (no --sweep, "
-                     "no --remote)\n");
+                     "--gap-report is its own mode (no --sweep)\n");
         usage(2);
     }
     if (!cli.builtinBenches && cli.benchFiles.empty()) {
@@ -519,7 +503,7 @@ readFileOrExit(const std::string &path)
 }
 
 /** Register every --bench-file before any mode runs, so the names
- *  are first-class on every axis (single run, sweep, remote). */
+ *  are first-class on every axis (single run, sweep, gap report). */
 void
 registerBenchFiles(api::Session &session, const CliOptions &cli)
 {
@@ -562,137 +546,6 @@ exportBenchesMode(api::Session &session, const std::string &file)
                      file.c_str());
         std::exit(1);
     }
-    return 0;
-}
-
-/**
- * Push every ingested (non-builtin) workload of the sweep to every
- * --remote endpoint via the register-workload op: the daemons
- * resolve benchmark names against their own session, which cannot
- * know about this process's --bench-file registrations otherwise.
- */
-void
-pushWorkloadsRemote(api::Session &session,
-                    const std::vector<std::string> &workloads,
-                    const std::vector<std::string> &endpoints)
-{
-    std::vector<std::pair<std::string, std::string>> pushes;
-    const api::Registries &reg = session.registries();
-    for (const std::string &w : workloads) {
-        const api::WorkloadEntry *entry = reg.workloads.find(w);
-        if (!entry || entry->origin == "builtin")
-            continue;
-        auto text = session.dumpWorkloadText(w);
-        if (!text.ok())
-            statusExit(text.status());
-        pushes.emplace_back(w, text.value());
-    }
-    if (pushes.empty())
-        return;
-    for (const std::string &endpoint : endpoints) {
-        dist::NdjsonClient client;
-        if (!client.connect(endpoint)) {
-            std::fprintf(stderr,
-                         "cannot connect to '%s' to register "
-                         "workloads\n",
-                         endpoint.c_str());
-            std::exit(1);
-        }
-        for (const auto &[name, source] : pushes) {
-            const std::string line =
-                "{\"op\":\"register-workload\",\"name\":" +
-                json::quoted(name) +
-                ",\"source\":" + json::quoted(source) + "}";
-            auto resp = client.sendLine(line)
-                            ? client.recvResponse()
-                            : std::nullopt;
-            if (!resp || !resp->getBool("ok")) {
-                std::fprintf(
-                    stderr,
-                    "register-workload '%s' failed on '%s': %s\n",
-                    name.c_str(), endpoint.c_str(),
-                    resp ? resp->getString("error", "rejected")
-                               .c_str()
-                         : "connection lost");
-                std::exit(1);
-            }
-        }
-    }
-}
-
-/**
- * Distributed sweep: validate every axis name locally (the same
- * atomic up-front validation the façade gives a local sweep), then
- * shard the cells across the --remote endpoints and print the
- * merged CSV — byte-identical to `--sweep --csv` on one node.
- */
-int
-runRemoteSweep(api::Session &session, const CliOptions &cli)
-{
-    if (cli.json || cli.timing) {
-        // Timing is wall-clock (never byte-stable across shards)
-        // and the JSON report embeds one session's cache counters;
-        // the distributed report is deliberately CSV-only.
-        std::fprintf(stderr,
-                     "--remote produces CSV only (no --json, "
-                     "no --timing)\n");
-        usage(2);
-    }
-    const api::Registries &reg = session.registries();
-    dist::RemoteSweep sweep;
-    sweep.workloads = splitAxis("--benches", cli.benches);
-    if (sweep.workloads.empty())
-        sweep.workloads = reg.workloads.names();
-    sweep.archs = splitAxis("--archs", cli.archs);
-    if (sweep.archs.empty())
-        sweep.archs = reg.archs.names();
-    sweep.schedulers = splitAxis("--heuristics", cli.heuristics);
-    if (sweep.schedulers.empty())
-        sweep.schedulers = {cli.heuristic};
-    sweep.unrolls = splitAxis("--unrolls", cli.unrolls);
-    if (sweep.unrolls.empty())
-        sweep.unrolls = {cli.unroll};
-    sweep.alignment = {!cli.noAlign};
-    sweep.chains = {!cli.noChains};
-    sweep.versioning = {cli.versioning};
-    sweep.datasets = cli.datasets;
-
-    // Fail atomically before anything is submitted, exactly like
-    // the local sweep (a daemon would only report the bad cell
-    // after the fact, as a failed cell).
-    for (const std::string &w : sweep.workloads)
-        if (auto r = reg.workloads.resolve(w); !r.ok())
-            statusExit(r.status());
-    for (const std::string &a : sweep.archs)
-        if (auto r = reg.archs.resolve(a); !r.ok())
-            statusExit(r.status());
-    for (const std::string &s : sweep.schedulers)
-        if (auto r = reg.schedulers.resolve(s); !r.ok())
-            statusExit(r.status());
-    for (const std::string &u : sweep.unrolls)
-        if (auto r = reg.unrolls.resolve(u); !r.ok())
-            statusExit(r.status());
-
-    pushWorkloadsRemote(session, sweep.workloads,
-                        splitList(cli.remote));
-
-    dist::SweepCoordinator coordinator(splitList(cli.remote));
-    auto result = coordinator.run(sweep);
-    if (!result.ok())
-        statusExit(result.status());
-    const dist::RemoteSweepReport &report = result.value();
-    // Parity with the local CLI: any failed cell fails the sweep.
-    if (report.failedCells > 0) {
-        for (const std::string &err : report.cellErrors)
-            std::fprintf(stderr, "cell failed: %s\n", err.c_str());
-        std::exit(1);
-    }
-    std::fputs(report.csv.c_str(), stdout);
-    std::fprintf(stderr,
-                 "remote sweep: %zu cells over %zu endpoints, "
-                 "%zu retries, %zu workers lost\n",
-                 report.cells, splitList(cli.remote).size(),
-                 report.retries, report.workersLost);
     return 0;
 }
 
@@ -815,11 +668,8 @@ main(int argc, char **argv)
         return printList(session, cli.list);
     if (cli.gapReport)
         return gapReportMode(session, cli);
-    if (cli.sweep) {
-        if (!cli.remote.empty())
-            return runRemoteSweep(session, cli);
+    if (cli.sweep)
         return runSweep(session, cli);
-    }
 
     std::vector<std::string> benches;
     if (cli.all) {

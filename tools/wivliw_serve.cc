@@ -23,11 +23,10 @@
  * connections CONCURRENTLY (one thread per connection over the one
  * shared Session), so a slow or hostile client stalls only itself.
  * The session — cache, store, job numbering — persists across
- * connections, which is what makes a daemon fleet useful to the
- * distributed sweep coordinator: each cell lands on a warm
- * process. `--store DIR` additionally shares compiled artifacts
- * across daemons and restarts through the content-addressed
- * persistent store (see README "Distributed sweeps").
+ * connections, so every client lands on a warm process.
+ * `--store DIR` additionally shares compiled artifacts across
+ * daemons and restarts through the content-addressed persistent
+ * store (see README "Persistent compile store").
  *
  * Requests: submit, cancel, status, result, list-jobs, list-archs,
  * list-benches, list-heuristics, list-unrolls, cache-stats,
@@ -185,7 +184,7 @@ usage(int code)
         "                     of buffering without bound\n"
         "  --store DIR        persistent compile store shared with\n"
         "                     other daemons and runs (see README\n"
-        "                     'Distributed sweeps')\n"
+        "                     'Persistent compile store')\n"
         "  --listen PATH      serve on a unix socket instead of\n"
         "                     stdio; concurrent connections, the\n"
         "                     session persists across connections\n"
@@ -356,7 +355,10 @@ class Connection
            << ",\"evictions\":" << cache.evictions
            << ",\"store_hits\":" << cache.storeHits
            << ",\"store_misses\":" << cache.storeMisses
-           << ",\"stores\":" << cache.stores << "}";
+           << ",\"stores\":" << cache.stores
+           << ",\"front_hits\":" << cache.frontHits
+           << ",\"front_misses\":" << cache.frontMisses
+           << ",\"front_evictions\":" << cache.frontEvictions << "}";
         return os.str();
     }
 
@@ -712,8 +714,7 @@ class Connection
      *   {"op":"register-workload","name":"fir","source":"..."}
      * Registrations are session-scoped — the daemon multiplexes
      * every connection over one Session, so a registered kernel is
-     * immediately sweepable by any later connection (which is how
-     * the CLI's --remote --bench-file path works). The call does
+     * immediately sweepable by any later connection. The call does
      * all its work inline (no cells queued), so it is never shed
      * by admission control; malformed source is a structured
      * error with file:line:col, never a daemon exit; and pushing
@@ -989,8 +990,8 @@ pokeAccept(const std::string &path)
  * Unix-socket transport: accept connections CONCURRENTLY (one
  * thread each over the one shared Session) until a `shutdown`
  * request or SIGTERM. A vanished client ends its connection, not
- * the daemon — the coordinator relies on daemons outliving any
- * one sweep. Wind-down: stop accepting, shut the read side of
+ * the daemon, so registrations and warm caches outlive any one
+ * client. Wind-down: stop accepting, shut the read side of
  * every live connection (its serve loop sees EOF and runs the
  * bounded drain), join everything, exit 0.
  */
