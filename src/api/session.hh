@@ -71,17 +71,20 @@ struct SessionOptions
     int jobs = 1;
     /**
      * Share work between cells: compiles between arch/option
-     * variants, and whole runs between twin cells of one job
-     * (engine::twinCells), which retire with copies of one result.
-     * false runs every cell in full.
+     * variants, whole runs between twin cells of one job
+     * (engine::twinCells), which retire with copies of one result,
+     * and simulations between equal cells of any jobs of the
+     * session (the run tier). false runs every cell in full.
      */
     bool compileCache = true;
     /**
      * Compile-cache bound for long-lived serving sessions: at most
-     * N artifacts, and the loop front ends of at most N workloads,
-     * each workload's fronts kept and evicted together (LRU;
-     * evictions counted in cacheStats().evictions and, per front,
-     * .frontEvictions); 0 = unbounded.
+     * N artifacts, the loop front ends of at most N workloads (each
+     * workload's fronts kept and evicted together) and the runs of
+     * at most N artifacts (each artifact's runs kept and evicted
+     * together). LRU; evictions counted in cacheStats().evictions
+     * and, per front and per run, .frontEvictions and
+     * .runEvictions; 0 = unbounded.
      */
     std::size_t cacheCapacity = 0;
     /**

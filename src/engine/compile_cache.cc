@@ -56,8 +56,15 @@ frontCounters()
     return c;
 }
 
+const detail::MemoCounters &
+runCounters()
+{
+    static const detail::MemoCounters c = memoCounters("run");
+    return c;
+}
+
 /**
- * The benchmark's identity in both keys. Ingested workloads carry a
+ * The benchmark's identity in every key. Ingested workloads carry a
  * content fingerprint: two same-named text kernels with different
  * bodies must not share entries (the persistent store outlives a
  * registration). Builtins have no fingerprint, keeping their keys
@@ -69,6 +76,28 @@ benchIdentity(const BenchmarkSpec &bench)
     return bench.fingerprint.empty()
         ? bench.name
         : bench.name + "@" + bench.fingerprint;
+}
+
+/** What runKey() adds to compileKey(). */
+std::string
+runFields(const MachineConfig &cfg, const std::vector<std::uint64_t> &seeds)
+{
+    // compileKey() keys 21 of MachineConfig's 28 fields (all ints
+    // but a bool and an enum); the 7 it leaves out are keyed here.
+    // A new field must be keyed by one of the two, or two cells
+    // that simulate differently would share runs.
+    static_assert(sizeof(MachineConfig) == 28 * sizeof(int),
+                  "key the new MachineConfig field in compileKey() "
+                  "or runKey()");
+    std::ostringstream key;
+    key << "|r" << (cfg.attractionBuffers ? 1 : 0)
+        << "," << cfg.abEntries << "," << cfg.abWays
+        << "|m" << cfg.memBuses << "," << cfg.memBusOccupancy
+        << "|n" << cfg.unifiedPorts << "," << cfg.nextLevelPorts
+        << "|e" << std::hex;
+    for (std::uint64_t seed : seeds)
+        key << seed << ",";
+    return key.str();
 }
 
 } // namespace
@@ -159,6 +188,13 @@ frontKey(const MachineConfig &cfg, const ToolchainOptions &opts,
         << (opts.varAlignment ? "a" : "-")
         << "|p" << opts.profile.maxIterations;
     return key.str();
+}
+
+std::string
+runKey(const MachineConfig &cfg, const ToolchainOptions &opts,
+       const std::string &bench, const std::vector<std::uint64_t> &seeds)
+{
+    return compileKey(cfg, opts, bench) + runFields(cfg, seeds);
 }
 
 namespace detail {
@@ -299,6 +335,7 @@ OnceMemo<Value>::groups() const
 
 template class OnceMemo<CompiledBenchmark>;
 template class OnceMemo<LoopFront>;
+template class OnceMemo<std::vector<BenchmarkRun>>;
 
 } // namespace detail
 
@@ -322,7 +359,7 @@ CompileCache::CompileCache(std::size_t capacity,
                            std::shared_ptr<PersistentCompileStore> store)
     : artifacts_(capacity, artifactCounters()),
       fronts_(std::make_shared<FrontCache>(capacity)),
-      store_(std::move(store))
+      runs_(capacity, runCounters()), store_(std::move(store))
 {
 }
 
@@ -366,6 +403,23 @@ CompileCache::compile(const MachineConfig &cfg,
     return entry;
 }
 
+CompileCache::Runs
+CompileCache::runs(const MachineConfig &cfg, const ToolchainOptions &opts,
+                   const BenchmarkSpec &bench,
+                   const std::vector<std::uint64_t> &seeds,
+                   const std::function<std::vector<BenchmarkRun>()> &simulate)
+{
+    // Grouped by artifact: the bound counts artifacts whose runs
+    // stay resident.
+    const std::string artifact =
+        compileKey(cfg, opts, benchIdentity(bench));
+    return runs_.get(artifact + runFields(cfg, seeds), artifact,
+                     [&simulate] {
+                         return std::make_shared<
+                             const std::vector<BenchmarkRun>>(simulate());
+                     });
+}
+
 CompileCacheStats
 CompileCache::stats() const
 {
@@ -379,6 +433,9 @@ CompileCache::stats() const
     out.frontHits = fronts_->hits();
     out.frontMisses = fronts_->misses();
     out.frontEvictions = fronts_->evictions();
+    out.runHits = runs_.hits();
+    out.runMisses = runs_.misses();
+    out.runEvictions = runs_.evictions();
     std::lock_guard<std::mutex> lock(benchMu_);
     out.hitsByBench = hitsByBench_;
     out.missesByBench = missesByBench_;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Memoization of compilation across experiments, in two tiers.
+ * Memoization of compilation and simulation across experiments, in
+ * three tiers.
  *
  * The artifact tier memoizes compileBenchmark() under compileKey():
  * the compile-relevant subset of (MachineConfig, ToolchainOptions,
@@ -25,30 +26,40 @@
  * unchained body all profile each (loop, factor) once. A Toolchain
  * built without a front tier compiles through a private one.
  *
- * Concurrency (both tiers): the first requester of a key builds it;
+ * The run tier memoizes Toolchain::simulateBatch() under runKey():
+ * the artifact's compileKey() plus every MachineConfig field
+ * compileKey() leaves out and the execution seeds — all a cell's
+ * cycle counts depend on. Its entries are grouped by compileKey(),
+ * so a group holds every run of one artifact. A session that sees
+ * the same cell again (a daemon's repeated request) copies the runs
+ * instead of simulating.
+ *
+ * Concurrency (all tiers): the first requester of a key builds it;
  * concurrent requesters of the same key block on a shared future
  * instead of duplicating the work, and count as hits and as waits
- * (wivliw_compile_waits_total). Entries are immutable
- * shared_ptr<const ...>, safe to read from any number of threads at
- * once. A build that throws (CompileError, or
+ * (wivliw_compile_waits_total, shared by the three tiers). Entries
+ * are immutable shared_ptr<const ...>, safe to read from any number
+ * of threads at once. A build that throws (CompileError, or
  * CancelledError from the owner's cancellation token) reaches every
  * waiter but is then *removed* from the tier, so the next requester
  * — possibly an uncancelled job — builds fresh instead of replaying
  * another job's failure.
  *
- * Capacity: one optional bound N turns both memos into LRU caches
- * for long-lived serving sessions. The artifact tier holds at most N
- * artifacts. The front tier holds the fronts of at most N
+ * Capacity: one optional bound N turns the three memos into LRU
+ * caches for long-lived serving sessions. The artifact tier holds
+ * at most N artifacts. The front tier holds the fronts of at most N
  * workloads (benchmark identities, name@fingerprint), because one
  * compile of a workload reads several of its fronts (about 9 per
  * builtin) and an artifact miss must find them all: it keeps LRU
  * order over workloads and evicts all of a workload's fronts
- * together. Neither tier evicts an entry whose build is still
- * running, so a workload with a front in flight stays. Evictions
- * only drop the tier's own reference (in-flight compiles and
- * simulations keep their entries alive through the shared_ptr) and
- * are counted per entry dropped: an evicted workload adds all its
- * fronts to frontEvictions.
+ * together. The run tier holds the runs of at most N artifacts and
+ * evicts an artifact's runs together. No tier evicts an entry
+ * whose build is still running, so a group with a build in flight
+ * stays. Evictions only drop the tier's own reference (in-flight
+ * compiles and simulations keep their entries alive through the
+ * shared_ptr) and are counted per entry dropped: an evicted
+ * workload adds all its fronts to frontEvictions, an evicted
+ * artifact all its runs to runEvictions.
  *
  * Persistence: an optional PersistentCompileStore (the
  * content-addressed dist::CompileStore) backs the artifact tier. A
@@ -57,7 +68,8 @@
  * CLI runs share compiles across processes and restarts); a
  * compile that ran publishes its artifact back to the
  * store. The store never affects results: a corrupt, stale or
- * missing entry is just a store miss.
+ * missing entry is just a store miss. It keeps no runs: the front
+ * and run tiers live in memory only.
  */
 
 #ifndef WIVLIW_ENGINE_COMPILE_CACHE_HH
@@ -106,6 +118,18 @@ std::string frontKey(const MachineConfig &cfg,
                      int factor);
 
 /**
+ * The run-tier key of @p bench under (@p cfg, @p opts) on the
+ * execution data sets @p seeds: compileKey(), then AB presence and
+ * geometry, the memory buses, the unified-cache and next-level
+ * ports, and the seeds. Two requests with equal keys are guaranteed
+ * bit-identical simulateBatch() results.
+ */
+std::string runKey(const MachineConfig &cfg,
+                   const ToolchainOptions &opts,
+                   const std::string &bench,
+                   const std::vector<std::uint64_t> &seeds);
+
+/**
  * A persistent artifact store backing the in-memory memo across
  * processes (implemented by dist::CompileStore). Both calls run on
  * worker threads holding no cache locks; implementations must be
@@ -148,6 +172,11 @@ struct CompileCacheStats
     std::uint64_t frontHits = 0;
     std::uint64_t frontMisses = 0;
     std::uint64_t frontEvictions = 0;
+    /** Run-tier (per cell and data-set list) accounting;
+     *  runEvictions counts runs, not artifacts. */
+    std::uint64_t runHits = 0;
+    std::uint64_t runMisses = 0;
+    std::uint64_t runEvictions = 0;
     std::map<std::string, std::uint64_t> hitsByBench;
     std::map<std::string, std::uint64_t> missesByBench;
 };
@@ -161,16 +190,16 @@ struct MemoCounters
     metrics::Counter *misses;
     metrics::Counter *evictions;
     /** Hits that found the entry still being built, and how long
-     *  they waited for it (shared by both tiers). */
+     *  they waited for it (shared by every tier). */
     metrics::Counter *waits;
     metrics::Histogram *waitUs;
 };
 
 /**
  * Thread-safe once-per-key memo of immutable values with an
- * optional LRU bound on groups of entries: the machinery both
- * compile tiers share (instantiated for CompiledBenchmark and
- * LoopFront only). Every entry belongs to one group; the bound
+ * optional LRU bound on groups of entries: the machinery the three
+ * tiers share (instantiated for CompiledBenchmark, LoopFront and a
+ * cell's runs only). Every entry belongs to one group; the bound
  * counts groups, recency is kept per group, and eviction drops a
  * whole group once none of its entries is still being built.
  */
@@ -295,15 +324,20 @@ class FrontCache
     detail::OnceMemo<LoopFront> memo_;
 };
 
-/** Thread-safe once-per-key compile memo with optional LRU bound. */
+/**
+ * Thread-safe once-per-key compile and run memo with optional LRU
+ * bound.
+ */
 class CompileCache
 {
   public:
     using Entry = std::shared_ptr<const CompiledBenchmark>;
+    using Runs = std::shared_ptr<const std::vector<BenchmarkRun>>;
 
     /**
-     * @param capacity max resident artifacts, and max workloads
-     *                 whose fronts stay resident; 0 = unbounded.
+     * @param capacity max resident artifacts, max workloads whose
+     *                 fronts stay resident, and max artifacts whose
+     *                 runs stay resident; 0 = unbounded.
      * @param store    optional persistent backing store shared
      *                 across processes; null = memory only.
      */
@@ -318,6 +352,16 @@ class CompileCache
     Entry compile(const MachineConfig &cfg,
                   const ToolchainOptions &opts,
                   const BenchmarkSpec &bench);
+
+    /**
+     * Return the runs of @p bench under (@p cfg, @p opts) on the
+     * data sets @p seeds, simulating at most once per distinct
+     * runKey(): @p simulate produces them on a miss.
+     */
+    Runs runs(const MachineConfig &cfg, const ToolchainOptions &opts,
+              const BenchmarkSpec &bench,
+              const std::vector<std::uint64_t> &seeds,
+              const std::function<std::vector<BenchmarkRun>()> &simulate);
 
     /**
      * Counter snapshot. The scalar counters are atomics readable
@@ -344,6 +388,7 @@ class CompileCache
   private:
     detail::OnceMemo<CompiledBenchmark> artifacts_;
     std::shared_ptr<FrontCache> fronts_;
+    detail::OnceMemo<std::vector<BenchmarkRun>> runs_;
     std::shared_ptr<PersistentCompileStore> store_;
     std::atomic<std::uint64_t> storeHits_{0};
     std::atomic<std::uint64_t> storeMisses_{0};

@@ -135,11 +135,25 @@ runExperiment(const ExperimentSpec &spec, CompileCache *cache,
             spec.execSeeds.empty()
                 ? std::vector<std::uint64_t>{spec.opts.execSeed}
                 : spec.execSeeds;
-        const auto sim_start = std::chrono::steady_clock::now();
-        result.datasetRuns = chain.simulateBatch(
-            bench, compiled ? *compiled : local, seeds,
-            &result.simulateDatasetMs, &result.simulateSetupMs);
-        result.simulateMs = msSince(sim_start);
+        const auto simulate = [&] {
+            const auto sim_start = std::chrono::steady_clock::now();
+            std::vector<BenchmarkRun> runs = chain.simulateBatch(
+                bench, compiled ? *compiled : local, seeds,
+                &result.simulateDatasetMs, &result.simulateSetupMs);
+            result.simulateMs = msSince(sim_start);
+            return runs;
+        };
+        if (cache) {
+            // A run-tier hit copies the runs and, like a twin
+            // follower, reports zero simulate time per data set; a
+            // miss overwrites these with its own timings.
+            result.simulateDatasetMs.assign(seeds.size(), 0.0);
+            result.datasetRuns =
+                *cache->runs(spec.arch.config, opts, bench, seeds,
+                             simulate);
+        } else {
+            result.datasetRuns = simulate();
+        }
     } catch (const CompileError &e) {
         result.error = e.what();
         result.userError = true;

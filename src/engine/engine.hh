@@ -1,8 +1,8 @@
 /**
  * @file
  * The one experiment-cell kernel: runExperiment() compiles one
- * resolved spec (through a shared CompileCache when given one) and
- * simulates its data sets. api::Session is the only batch runner;
+ * resolved spec and simulates its data sets, both through a shared
+ * CompileCache when given one. api::Session is the only batch runner;
  * it resolves names into specs and its executor calls this for
  * every cell.
  *
@@ -50,12 +50,12 @@ struct RunHooks
 };
 
 /**
- * Run one experiment cell: compile @p spec's workload (through
- * @p cache when non-null, locally otherwise) and simulate every
- * data set. The spec must carry its resolved workload. Never
- * throws: failures land on the result's error slot, cancellation
- * on its `cancelled` flag. This is the one place cell semantics
- * live.
+ * Run one experiment cell: compile @p spec's workload and simulate
+ * every data set, through @p cache's artifact and run tiers when
+ * non-null, locally otherwise. The spec must carry its resolved
+ * workload. Never throws: failures land on the result's error
+ * slot, cancellation on its `cancelled` flag. This is the one
+ * place cell semantics live.
  */
 ExperimentResult runExperiment(const ExperimentSpec &spec,
                                CompileCache *cache,

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the experiment engine as api::Session drives it: sweep
- * expansion, the worker pool, compile-result memoization (artifacts
- * and loop front ends), the determinism contract (parallel ==
+ * expansion, the worker pool, memoization (artifacts, loop front
+ * ends and runs), the determinism contract (parallel ==
  * serial == direct Toolchain, bit for bit), and the report
  * serialisers.
  */
@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <future>
 #include <latch>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -949,6 +950,156 @@ TEST(TwinCells, TwinsDifferOnlyByTheHeuristicClass)
     EXPECT_FALSE(differs([](ExperimentSpec &s) {
         s.arch.name = "alias";
     }));
+}
+
+// ---- run tier ----
+
+std::string
+csvOf(const std::vector<ExperimentResult> &results)
+{
+    std::ostringstream os;
+    engine::writeCsv(os, results);
+    return os.str();
+}
+
+TEST(RunTier, ArchVariantsShareTheArtifactButNotTheRuns)
+{
+    // interleaved and interleaved-ab compile once but simulate
+    // different hardware: one compile hit, two run misses, and the
+    // results of a session that shares nothing.
+    SweepRequest req;
+    req.workloads = {"gsmdec"};
+    req.archs = {"interleaved", "interleaved-ab"};
+    req.datasets = 2;
+
+    Session cached{SessionOptions{.jobs = 1}};
+    const auto warm = sweep(cached, req);
+    const CompileCacheStats stats = cached.cacheStats();
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.runMisses, 2u);
+    EXPECT_EQ(stats.runHits, 0u);
+
+    Session cold{SessionOptions{.jobs = 1, .compileCache = false}};
+    const auto coldResults = sweep(cold, req);
+    EXPECT_EQ(csvOf(warm), csvOf(coldResults));
+    EXPECT_TRUE(resultsEqual(warm, coldResults));
+    EXPECT_EQ(cold.cacheStats().runHits + cold.cacheStats().runMisses,
+              0u);
+
+    // The same sweep again simulates nothing and changes nothing.
+    const auto again = sweep(cached, req);
+    EXPECT_EQ(cached.cacheStats().runHits, 2u);
+    EXPECT_EQ(cached.cacheStats().runMisses, 2u);
+    EXPECT_EQ(csvOf(again), csvOf(coldResults));
+    EXPECT_TRUE(resultsEqual(again, coldResults));
+    for (const ExperimentResult &r : again) {
+        EXPECT_EQ(r.simulateMs, 0.0) << r.spec.label();
+        EXPECT_EQ(r.simulateDatasetMs, std::vector<double>(2, 0.0))
+            << r.spec.label();
+    }
+
+    // Another data-set list is another cell.
+    req.datasets = 1;
+    const auto one = sweep(cached, req);
+    EXPECT_EQ(cached.cacheStats().runMisses, 4u);
+    EXPECT_EQ(csvOf(one), csvOf(sweep(cold, req)));
+}
+
+TEST(RunKey, EveryFieldCompileKeyLeavesOutIsKeyed)
+{
+    const MachineConfig cfg = MachineConfig::paperInterleavedAb();
+    const ToolchainOptions opts;
+    const std::vector<std::uint64_t> seeds = {0x51AD};
+    const std::string base = engine::runKey(cfg, opts, "gsmdec", seeds);
+    EXPECT_EQ(base.rfind(engine::compileKey(cfg, opts, "gsmdec"), 0), 0u);
+
+    const auto expectKeyed = [&](void (*change)(MachineConfig &),
+                                 const char *what) {
+        MachineConfig changed = cfg;
+        change(changed);
+        EXPECT_EQ(engine::compileKey(changed, opts, "gsmdec"),
+                  engine::compileKey(cfg, opts, "gsmdec"))
+            << what << " is in compileKey";
+        EXPECT_NE(engine::runKey(changed, opts, "gsmdec", seeds), base)
+            << what;
+    };
+    expectKeyed([](MachineConfig &c) { c.attractionBuffers = false; },
+                "attractionBuffers");
+    expectKeyed([](MachineConfig &c) { c.abEntries *= 2; }, "abEntries");
+    expectKeyed([](MachineConfig &c) { c.abWays *= 2; }, "abWays");
+    expectKeyed([](MachineConfig &c) { c.memBuses += 1; }, "memBuses");
+    expectKeyed([](MachineConfig &c) { c.memBusOccupancy += 1; },
+                "memBusOccupancy");
+    expectKeyed([](MachineConfig &c) { c.unifiedPorts += 1; },
+                "unifiedPorts");
+    expectKeyed([](MachineConfig &c) { c.nextLevelPorts += 1; },
+                "nextLevelPorts");
+
+    // The seed list: its values, its order and its length.
+    const auto key = [&](std::vector<std::uint64_t> list) {
+        return engine::runKey(cfg, opts, "gsmdec", list);
+    };
+    EXPECT_NE(key({0x51AE}), base);
+    EXPECT_NE(key({0x51AD, 0x51AD}), base);
+    EXPECT_NE(key({1, 2}), key({2, 1}));
+    EXPECT_NE(key({0x12, 0x3}), key({0x1, 0x23}));
+    EXPECT_EQ(key({0x51AD}), base);
+
+    // Everything compileKey covers reaches the run key too.
+    EXPECT_NE(engine::runKey(cfg, opts, "rasta", seeds), base);
+    ToolchainOptions base_heuristic = opts;
+    base_heuristic.heuristic = Heuristic::Base;
+    EXPECT_NE(engine::runKey(cfg, base_heuristic, "gsmdec", seeds), base);
+}
+
+TEST(RunTier, CapacityOneAlternatingCellsEvictWithoutChangingResults)
+{
+    // Two cells of different artifacts under a bound of one: each
+    // evicts the other's runs, so every lookup simulates afresh.
+    api::RunRequest gsm;
+    gsm.workload = "gsmdec";
+    api::RunRequest rasta;
+    rasta.workload = "rasta";
+    rasta.datasets = 2;
+
+    Session cold{SessionOptions{.jobs = 1, .compileCache = false}};
+    std::map<std::string, std::string> want;
+    for (const api::RunRequest *req : {&gsm, &rasta}) {
+        auto r = cold.run(*req);
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        want[req->workload] = csvOf({r.value().experiment});
+    }
+
+    Session bounded{SessionOptions{.jobs = 1, .cacheCapacity = 1}};
+    for (int round = 0; round < 3; ++round) {
+        for (const api::RunRequest *req : {&gsm, &rasta}) {
+            auto r = bounded.run(*req);
+            ASSERT_TRUE(r.ok()) << r.status().toString();
+            EXPECT_EQ(csvOf({r.value().experiment}), want[req->workload])
+                << round << "/" << req->workload;
+        }
+    }
+    const CompileCacheStats stats = bounded.cacheStats();
+    EXPECT_GT(stats.runEvictions, 0u);
+    EXPECT_EQ(stats.runHits, 0u);
+    EXPECT_EQ(stats.runMisses, 6u);
+
+    // A repeated cell still hits under the bound.
+    auto again = bounded.run(rasta);
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(csvOf({again.value().experiment}), want["rasta"]);
+    EXPECT_EQ(bounded.cacheStats().runHits, 1u);
+
+    // An artifact's runs are one group: both arch variants of one
+    // compile stay resident under the bound.
+    SweepRequest variants;
+    variants.workloads = {"gsmdec"};
+    variants.archs = {"interleaved", "interleaved-ab"};
+    const std::string variantsCsv = csvOf(sweep(cold, variants));
+    EXPECT_EQ(csvOf(sweep(bounded, variants)), variantsCsv);
+    EXPECT_EQ(csvOf(sweep(bounded, variants)), variantsCsv);
+    EXPECT_EQ(bounded.cacheStats().runHits, 3u);
 }
 
 // ---- determinism ----

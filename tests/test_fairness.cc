@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <condition_variable>
 #include <latch>
 #include <mutex>
@@ -192,13 +191,40 @@ class MergedSink : public api::EventSink
 };
 
 /**
- * The acceptance drill: one greedy client saturates a serial
- * session with a 12-cell sweep; a small client then submits a
- * single run. Retirement order (recorded at emit time, so no
- * observer-scheduling race) must show the small job finishing
- * after at most a bounded handful of greedy cells — p99 over the
- * iterations — and every payload must be byte-identical to a solo
- * run of the same request.
+ * Parks a session's single worker inside a one-cell job: the
+ * cell's CellCompiled delivery blocks until open(). waitParked()
+ * returns once the worker is inside it, so every job submitted
+ * afterwards is queued in full before the worker can take a cell.
+ */
+class ParkingSink : public api::EventSink
+{
+  public:
+    void
+    handle(const JobEvent &event) override
+    {
+        if (event.kind != EventKind::CellCompiled)
+            return;
+        parked_.count_down();
+        gate_.wait();
+    }
+
+    void waitParked() { parked_.wait(); }
+    void open() { gate_.open(); }
+
+  private:
+    Gate gate_;
+    std::latch parked_{1};
+};
+
+/**
+ * The acceptance drill: one greedy client queues a 12-cell sweep
+ * on a serial session; a small client then queues a single run.
+ * Both are queued while the worker is parked, so the pool's ring
+ * holds the greedy client first and the small one second, and
+ * round-robin must retire exactly one greedy cell before the small
+ * job finishes (not the whole backlog). Retirement order is
+ * recorded at emit time, and every payload must be byte-identical
+ * to a solo run of the same request.
  */
 TEST(Fairness, SmallClientFinishesInBoundedWindowUnderGreedyLoad)
 {
@@ -211,6 +237,11 @@ TEST(Fairness, SmallClientFinishesInBoundedWindowUnderGreedyLoad)
     RunRequest small;
     small.workload = "gsmdec";
     small.arch = "interleaved-ab";
+
+    // Shares no compile or run with the other two.
+    RunRequest parker;
+    parker.workload = "rasta";
+    parker.arch = "unified1";
 
     // Solo baselines for byte-identity.
     std::string soloSweepCsv;
@@ -225,10 +256,13 @@ TEST(Fairness, SmallClientFinishesInBoundedWindowUnderGreedyLoad)
         soloRunCsv = csvOf({run.value().experiment});
     }
 
-    constexpr int kIterations = 12;
-    std::vector<int> greedyCellsBeforeSmall;
+    constexpr int kIterations = 4;
     for (int iter = 0; iter < kIterations; ++iter) {
         Session session(SessionOptions{.jobs = 1});
+        ParkingSink parking;
+        SubmitOptions parkerOpts;
+        parkerOpts.clientId = "parker";
+        parkerOpts.events = &parking;
         MergedSink sink;
         SubmitOptions greedyOpts;
         greedyOpts.clientId = "greedy";
@@ -237,9 +271,13 @@ TEST(Fairness, SmallClientFinishesInBoundedWindowUnderGreedyLoad)
         smallOpts.clientId = "small";
         smallOpts.events = &sink;
 
+        auto parkerJob = session.submit(parker, parkerOpts);
+        parking.waitParked();
         auto greedyJob = session.submit(greedy, greedyOpts);
         auto smallJob = session.submit(small, smallOpts);
+        parking.open();
 
+        ASSERT_TRUE(parkerJob.take().ok());
         auto smallResult = smallJob.take();
         ASSERT_TRUE(smallResult.ok())
             << smallResult.status().message();
@@ -270,18 +308,11 @@ TEST(Fairness, SmallClientFinishesInBoundedWindowUnderGreedyLoad)
             }
         }
         ASSERT_TRUE(smallBeforeGreedyDone);
-        greedyCellsBeforeSmall.push_back(greedyCells);
+        EXPECT_EQ(greedyCells, 1)
+            << "iteration " << iter
+            << ": the small client waited out more than one slot "
+               "of the greedy backlog";
     }
-
-    // p99 (= max at this sample count) completion bound: the small
-    // client waits out at most the greedy cell in flight at submit
-    // time plus one round-robin slot — with slack for the submit
-    // racing past an extra retirement, 3 of the 12-cell backlog.
-    std::sort(greedyCellsBeforeSmall.begin(),
-              greedyCellsBeforeSmall.end());
-    const int p99 = greedyCellsBeforeSmall.back();
-    EXPECT_LE(p99, 3) << "small client starved behind the greedy "
-                         "backlog";
 }
 
 } // namespace

@@ -355,6 +355,21 @@ TEST(ServeDaemon, OneSessionSharesCompileCacheAcrossJobs)
               firstCache->getInt("front_misses"));
     EXPECT_EQ(statsCache->getInt("front_evictions"), 0);
 
+    // So is the run tier: the first job simulated its cells, the
+    // identical second job took every cell's runs from the tier.
+    for (const char *key : {"run_hits", "run_misses", "run_evictions"}) {
+        EXPECT_NE(firstCache->find(key), nullptr) << key;
+        EXPECT_NE(secondCache->find(key), nullptr) << key;
+        EXPECT_NE(statsCache->find(key), nullptr) << key;
+    }
+    EXPECT_EQ(firstCache->getInt("run_hits"), 0);
+    EXPECT_GE(firstCache->getInt("run_misses"), 1);
+    EXPECT_GT(secondCache->getInt("run_hits"),
+              firstCache->getInt("run_hits"));
+    EXPECT_EQ(secondCache->getInt("run_misses"),
+              firstCache->getInt("run_misses"));
+    EXPECT_EQ(statsCache->getInt("run_evictions"), 0);
+
     EXPECT_EQ(daemon.finish(), 0);
 }
 

@@ -143,8 +143,9 @@ usage(int code)
         "                     simulated as one batch per job;\n"
         "                     dataset 0 is the classic single-input\n"
         "                     run, extra seeds derive from it\n"
-        "  --no-compile-cache recompile every arch variant and\n"
-        "                     run BASE/IBC twin cells separately\n"
+        "  --no-compile-cache recompile every arch variant, run\n"
+        "                     BASE/IBC twin cells separately and\n"
+        "                     simulate every cell\n"
         "  --timing           per-job compile/simulate wall-time\n"
         "                     columns plus aggregated totals\n"
         "optimality gap (docs/SCHEDULERS.md):\n"

@@ -176,9 +176,10 @@ usage(int code)
         "per line), responses and job events on stdout. All jobs\n"
         "share one api::Session (and so one compile cache).\n"
         "  --jobs N           worker threads (default 1, N >= 1)\n"
-        "  --cache-capacity N compile-cache bound: N artifacts, and\n"
-        "                     the loop front ends of N workloads\n"
-        "                     (LRU; default 0 = unbounded)\n"
+        "  --cache-capacity N compile-cache bound: N artifacts, the\n"
+        "                     loop front ends of N workloads and\n"
+        "                     the runs of N artifacts (LRU;\n"
+        "                     default 0 = unbounded)\n"
         "  --queue N          event-queue bound (default 256);\n"
         "                     a full queue blocks workers instead\n"
         "                     of buffering without bound\n"
@@ -358,7 +359,10 @@ class Connection
            << ",\"stores\":" << cache.stores
            << ",\"front_hits\":" << cache.frontHits
            << ",\"front_misses\":" << cache.frontMisses
-           << ",\"front_evictions\":" << cache.frontEvictions << "}";
+           << ",\"front_evictions\":" << cache.frontEvictions
+           << ",\"run_hits\":" << cache.runHits
+           << ",\"run_misses\":" << cache.runMisses
+           << ",\"run_evictions\":" << cache.runEvictions << "}";
         return os.str();
     }
 
