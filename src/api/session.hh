@@ -82,9 +82,11 @@ struct SessionOptions
      * N artifacts, the loop front ends of at most N workloads (each
      * workload's fronts kept and evicted together) and the runs of
      * at most N artifacts (each artifact's runs kept and evicted
-     * together). LRU; evictions counted in cacheStats().evictions
-     * and, per front and per run, .frontEvictions and
-     * .runEvictions; 0 = unbounded.
+     * together). Over the bound a tier evicts its least frequently
+     * used group, the least recent on a tie (see
+     * engine/compile_cache.hh); evictions counted in
+     * cacheStats().evictions and, per front and per run,
+     * .frontEvictions and .runEvictions; 0 = unbounded.
      */
     std::size_t cacheCapacity = 0;
     /**

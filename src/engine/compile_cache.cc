@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <sstream>
 
 namespace vliw::engine {
@@ -215,8 +216,9 @@ OnceMemo<Value>::get(const std::string &key, const std::string &group,
         if (it != entries_.end()) {
             hits_.fetch_add(1, std::memory_order_relaxed);
             counters_.hits->add();
-            lru_.splice(lru_.begin(), lru_,
-                        it->second.group->second.lruIt);
+            Group &g = it->second.group->second;
+            lru_.splice(lru_.begin(), lru_, g.lruIt);
+            countUseLocked(g);
             future = it->second.future;
         } else {
             misses_.fetch_add(1, std::memory_order_relaxed);
@@ -228,9 +230,15 @@ OnceMemo<Value>::get(const std::string &key, const std::string &group,
             if (fresh) {
                 lru_.push_front(&node);
                 node.second.lruIt = lru_.begin();
+                // A returning group resumes its count.
+                if (capacity_ != 0) {
+                    if (auto past = evictedUses_.extract(group))
+                        node.second.uses = past.mapped();
+                }
             } else {
                 lru_.splice(lru_.begin(), lru_, node.second.lruIt);
             }
+            countUseLocked(node.second);
             node.second.members.push_back(
                 &*entries_.emplace(key, Slot{future, &node, myGen}).first);
             enforceCapacityLocked();
@@ -262,7 +270,7 @@ OnceMemo<Value>::get(const std::string &key, const std::string &group,
         // where a ready-failed slot can be looked up and spun on)
         // and only under this owner's generation (never a
         // successor's rebuild after an eviction). A group left
-        // without entries leaves the recency list with it.
+        // without entries goes, as if evicted.
         try {
             promise.set_value(build());
         } catch (...) {
@@ -271,13 +279,11 @@ OnceMemo<Value>::get(const std::string &key, const std::string &group,
                 auto it = entries_.find(key);
                 if (it != entries_.end() &&
                     it->second.gen == myGen) {
-                    Group &g = it->second.group->second;
-                    std::erase(g.members, &*it);
-                    if (g.members.empty()) {
-                        lru_.erase(g.lruIt);
-                        groups_.erase(group);
-                    }
+                    GroupNode &node = *it->second.group;
+                    std::erase(node.second.members, &*it);
                     entries_.erase(it);
+                    if (node.second.members.empty())
+                        dropGroupLocked(node);
                 }
             }
             promise.set_exception(std::current_exception());
@@ -288,33 +294,70 @@ OnceMemo<Value>::get(const std::string &key, const std::string &group,
 
 template <class Value>
 void
-OnceMemo<Value>::enforceCapacityLocked()
+OnceMemo<Value>::countUseLocked(Group &g)
 {
     if (capacity_ == 0)
         return;
-    auto victim = lru_.end();
-    while (groups_.size() > capacity_ && victim != lru_.begin()) {
-        --victim;
-        const std::vector<Member *> &members = (*victim)->second.members;
-        // Only evict settled groups; an in-flight build has waiters
-        // parked on its future. (The entry being inserted is
-        // unsettled, so its own group always stays.)
-        const bool settled = std::all_of(
-            members.begin(), members.end(), [](const Member *m) {
-                return m->second.future.wait_for(std::chrono::seconds(
-                           0)) == std::future_status::ready;
-            });
-        if (!settled)
-            continue;
+    ++g.uses;
+    if (++lookupsSinceAging_ < 10 * capacity_)
+        return;
+    // Aging: recent popularity outweighs old, and a count that
+    // halves to zero is forgotten, so the history of evicted
+    // groups stays O(capacity) names.
+    lookupsSinceAging_ = 0;
+    for (auto &[name, resident] : groups_)
+        resident.uses /= 2;
+    for (auto it = evictedUses_.begin(); it != evictedUses_.end();) {
+        it->second /= 2;
+        it = it->second == 0 ? evictedUses_.erase(it) : std::next(it);
+    }
+}
+
+template <class Value>
+void
+OnceMemo<Value>::enforceCapacityLocked()
+{
+    while (capacity_ != 0 && groups_.size() > capacity_) {
+        // The least used group, walking from the least recent end
+        // so that a tie goes to the least recent. Only settled
+        // groups qualify; an in-flight build has waiters parked on
+        // its future. (The entry being inserted is unsettled, so
+        // its own group always stays.)
+        GroupNode *victim = nullptr;
+        for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+            const Group &g = (*it)->second;
+            if (victim && g.uses >= victim->second.uses)
+                continue;
+            const bool settled = std::all_of(
+                g.members.begin(), g.members.end(), [](const Member *m) {
+                    return m->second.future.wait_for(std::chrono::seconds(
+                               0)) == std::future_status::ready;
+                });
+            if (settled)
+                victim = *it;
+        }
+        if (!victim)
+            return;
+        const std::vector<Member *> &members = victim->second.members;
         // By iterator: erasing by key would pass a reference into
         // the node being freed.
         for (const Member *m : members)
             entries_.erase(entries_.find(m->first));
         evictions_.fetch_add(members.size(), std::memory_order_relaxed);
         counters_.evictions->add(members.size());
-        groups_.erase(groups_.find((*victim)->first));
-        victim = lru_.erase(victim);
+        dropGroupLocked(*victim);
     }
+}
+
+template <class Value>
+void
+OnceMemo<Value>::dropGroupLocked(GroupNode &node)
+{
+    if (node.second.uses != 0)
+        evictedUses_[node.first] = node.second.uses;
+    lru_.erase(node.second.lruIt);
+    // By iterator, as above.
+    groups_.erase(groups_.find(node.first));
 }
 
 template <class Value>
@@ -331,6 +374,27 @@ OnceMemo<Value>::groups() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return groups_.size();
+}
+
+template <class Value>
+std::uint64_t
+OnceMemo<Value>::uses(const std::string &group) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (auto it = groups_.find(group); it != groups_.end())
+        return it->second.uses;
+    auto past = evictedUses_.find(group);
+    return past == evictedUses_.end() ? 0 : past->second;
+}
+
+template <class Value>
+std::size_t
+OnceMemo<Value>::history() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return evictedUses_.size() +
+        std::count_if(groups_.begin(), groups_.end(),
+                      [](const auto &g) { return g.second.uses != 0; });
 }
 
 template class OnceMemo<CompiledBenchmark>;
@@ -363,12 +427,19 @@ CompileCache::CompileCache(std::size_t capacity,
 {
 }
 
+std::string
+CompileCache::artifactKey(const MachineConfig &cfg,
+                          const ToolchainOptions &opts,
+                          const BenchmarkSpec &bench)
+{
+    return compileKey(cfg, opts, benchIdentity(bench));
+}
+
 CompileCache::Entry
-CompileCache::compile(const MachineConfig &cfg,
+CompileCache::compile(const std::string &key, const MachineConfig &cfg,
                       const ToolchainOptions &opts,
                       const BenchmarkSpec &bench)
 {
-    const std::string key = compileKey(cfg, opts, benchIdentity(bench));
     bool compiled = false;
     // Each artifact is its own group: the bound counts artifacts.
     const Entry entry = artifacts_.get(
@@ -404,16 +475,13 @@ CompileCache::compile(const MachineConfig &cfg,
 }
 
 CompileCache::Runs
-CompileCache::runs(const MachineConfig &cfg, const ToolchainOptions &opts,
-                   const BenchmarkSpec &bench,
+CompileCache::runs(const std::string &key, const MachineConfig &cfg,
                    const std::vector<std::uint64_t> &seeds,
                    const std::function<std::vector<BenchmarkRun>()> &simulate)
 {
     // Grouped by artifact: the bound counts artifacts whose runs
     // stay resident.
-    const std::string artifact =
-        compileKey(cfg, opts, benchIdentity(bench));
-    return runs_.get(artifact + runFields(cfg, seeds), artifact,
+    return runs_.get(key + runFields(cfg, seeds), key,
                      [&simulate] {
                          return std::make_shared<
                              const std::vector<BenchmarkRun>>(simulate());

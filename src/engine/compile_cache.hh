@@ -45,20 +45,27 @@
  * — possibly an uncancelled job — builds fresh instead of replaying
  * another job's failure.
  *
- * Capacity: one optional bound N turns the three memos into LRU
- * caches for long-lived serving sessions. The artifact tier holds
- * at most N artifacts. The front tier holds the fronts of at most N
- * workloads (benchmark identities, name@fingerprint), because one
- * compile of a workload reads several of its fronts (about 9 per
- * builtin) and an artifact miss must find them all: it keeps LRU
- * order over workloads and evicts all of a workload's fronts
- * together. The run tier holds the runs of at most N artifacts and
- * evicts an artifact's runs together. No tier evicts an entry
- * whose build is still running, so a group with a build in flight
- * stays. Evictions only drop the tier's own reference (in-flight
- * compiles and simulations keep their entries alive through the
- * shared_ptr) and are counted per entry dropped: an evicted
- * workload adds all its fronts to frontEvictions, an evicted
+ * Capacity: one optional bound N turns the three memos into caches
+ * for long-lived serving sessions. The artifact tier holds at most N
+ * artifacts. The front tier holds the fronts of at most N workloads
+ * (benchmark identities, name@fingerprint), because one compile of a
+ * workload reads several of its fronts (about 9 per builtin) and an
+ * artifact miss must find them all: it evicts all of a workload's
+ * fronts together. The run tier holds the runs of at most N
+ * artifacts and evicts an artifact's runs together. Over the bound,
+ * a tier evicts its least frequently used group, and the least
+ * recent of those on a tie. A group's use count is its lookups, hits
+ * and misses alike (a workload's is its front reads, which is also
+ * what rebuilding it costs). The count outlives an eviction, so a
+ * returning group keeps its history, and every 10 N lookups every
+ * count is halved and the zeros are forgotten, so a shift in
+ * popularity wins within a few such periods and the history stays
+ * O(N) names. An unbounded tier counts nothing. No tier evicts an
+ * entry whose build is still running, so a group with a build in
+ * flight stays. Evictions only drop the tier's own reference
+ * (in-flight compiles and simulations keep their entries alive
+ * through the shared_ptr) and are counted per entry dropped: an
+ * evicted workload adds all its fronts to frontEvictions, an evicted
  * artifact all its runs to runEvictions.
  *
  * Persistence: an optional PersistentCompileStore (the
@@ -197,11 +204,12 @@ struct MemoCounters
 
 /**
  * Thread-safe once-per-key memo of immutable values with an
- * optional LRU bound on groups of entries: the machinery the three
+ * optional bound on groups of entries: the machinery the three
  * tiers share (instantiated for CompiledBenchmark, LoopFront and a
  * cell's runs only). Every entry belongs to one group; the bound
- * counts groups, recency is kept per group, and eviction drops a
- * whole group once none of its entries is still being built.
+ * counts groups, use counts and recency are kept per group, and
+ * eviction drops the least frequently used group (the least recent
+ * on a tie) whole, once none of its entries is still being built.
  */
 template <class Value>
 class OnceMemo
@@ -247,6 +255,11 @@ class OnceMemo
     /** Resident groups. */
     std::size_t groups() const;
     std::size_t capacity() const { return capacity_; }
+    /** The use count of @p group, resident or evicted; always 0
+     *  in an unbounded memo. */
+    std::uint64_t uses(const std::string &group) const;
+    /** Group names with a nonzero use count, resident or evicted. */
+    std::size_t history() const;
 
   private:
     struct Group;
@@ -265,16 +278,23 @@ class OnceMemo
     };
     using Member = std::pair<const std::string, Slot>;
 
-    /** The resident entries of one group and its recency. */
+    /** The resident entries of one group, its recency and its use
+     *  count (bounded memos only). */
     struct Group
     {
         std::list<GroupNode *>::iterator lruIt;
         std::vector<Member *> members;
+        std::uint64_t uses = 0;
     };
 
-    /** Drop least-recently-used groups over capacity whose
+    /** Count one lookup of @p g; every 10 x capacity lookups, halve
+     *  every count. No-op in an unbounded memo. */
+    void countUseLocked(Group &g);
+    /** Drop least frequently used groups over capacity whose
      *  entries are all settled. */
     void enforceCapacityLocked();
+    /** Forget the group of @p node, keeping its use count. */
+    void dropGroupLocked(GroupNode &node);
 
     const std::size_t capacity_;
     const MemoCounters counters_;
@@ -284,6 +304,9 @@ class OnceMemo
     std::unordered_map<std::string, Group> groups_;
     /** Front = most recently used. */
     std::list<GroupNode *> lru_;
+    /** Use counts of evicted groups, nonzero only. */
+    std::unordered_map<std::string, std::uint64_t> evictedUses_;
+    std::uint64_t lookupsSinceAging_ = 0;
     std::atomic<std::uint64_t> hits_{0};
     std::atomic<std::uint64_t> misses_{0};
     std::atomic<std::uint64_t> evictions_{0};
@@ -325,8 +348,8 @@ class FrontCache
 };
 
 /**
- * Thread-safe once-per-key compile and run memo with optional LRU
- * bound.
+ * Thread-safe once-per-key compile and run memo with an optional
+ * frequency-aware bound (see "Capacity" above).
  */
 class CompileCache
 {
@@ -346,20 +369,37 @@ class CompileCache
         std::shared_ptr<PersistentCompileStore> store = nullptr);
 
     /**
+     * The artifact key of @p bench under (@p cfg, @p opts):
+     * compileKey() of its identity (name@fingerprint for an ingested
+     * workload). A cell builds it once for compile() and runs().
+     */
+    static std::string artifactKey(const MachineConfig &cfg,
+                                   const ToolchainOptions &opts,
+                                   const BenchmarkSpec &bench);
+
+    /**
      * Return the compiled form of @p bench under (@p cfg, @p opts),
      * compiling at most once per distinct key process-wide.
      */
-    Entry compile(const MachineConfig &cfg,
+    Entry
+    compile(const MachineConfig &cfg, const ToolchainOptions &opts,
+            const BenchmarkSpec &bench)
+    {
+        return compile(artifactKey(cfg, opts, bench), cfg, opts, bench);
+    }
+
+    /** As above, given @p key == artifactKey(cfg, opts, bench). */
+    Entry compile(const std::string &key, const MachineConfig &cfg,
                   const ToolchainOptions &opts,
                   const BenchmarkSpec &bench);
 
     /**
-     * Return the runs of @p bench under (@p cfg, @p opts) on the
-     * data sets @p seeds, simulating at most once per distinct
-     * runKey(): @p simulate produces them on a miss.
+     * Return the runs of the artifact under @p key (its
+     * artifactKey()) on machine @p cfg and the data sets @p seeds,
+     * simulating at most once per distinct runKey(): @p simulate
+     * produces them on a miss.
      */
-    Runs runs(const MachineConfig &cfg, const ToolchainOptions &opts,
-              const BenchmarkSpec &bench,
+    Runs runs(const std::string &key, const MachineConfig &cfg,
               const std::vector<std::uint64_t> &seeds,
               const std::function<std::vector<BenchmarkRun>()> &simulate);
 

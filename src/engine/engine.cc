@@ -73,6 +73,10 @@ runExperiment(const ExperimentSpec &spec, CompileCache *cache,
         const Toolchain chain(spec.arch.config, opts);
 
         const auto compile_start = std::chrono::steady_clock::now();
+        // One artifact key per cell, for both cached tiers.
+        const std::string key =
+            cache ? CompileCache::artifactKey(spec.arch.config, opts, bench)
+                  : std::string();
         CompileCache::Entry compiled;
         CompiledBenchmark local;
         // A shared compile can surface another job's cancellation:
@@ -83,8 +87,8 @@ runExperiment(const ExperimentSpec &spec, CompileCache *cache,
         for (;;) {
             try {
                 if (cache) {
-                    compiled = cache->compile(spec.arch.config, opts,
-                                              bench);
+                    compiled = cache->compile(key, spec.arch.config,
+                                              opts, bench);
                 } else {
                     local = chain.compileBenchmark(bench);
                 }
@@ -149,8 +153,7 @@ runExperiment(const ExperimentSpec &spec, CompileCache *cache,
             // miss overwrites these with its own timings.
             result.simulateDatasetMs.assign(seeds.size(), 0.0);
             result.datasetRuns =
-                *cache->runs(spec.arch.config, opts, bench, seeds,
-                             simulate);
+                *cache->runs(key, spec.arch.config, seeds, simulate);
         } else {
             result.datasetRuns = simulate();
         }

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <future>
 #include <latch>
+#include <list>
 #include <map>
 #include <memory>
 #include <set>
@@ -1100,6 +1101,132 @@ TEST(RunTier, CapacityOneAlternatingCellsEvictWithoutChangingResults)
     EXPECT_EQ(csvOf(sweep(bounded, variants)), variantsCsv);
     EXPECT_EQ(csvOf(sweep(bounded, variants)), variantsCsv);
     EXPECT_EQ(bounded.cacheStats().runHits, 3u);
+}
+
+// ---- eviction policy ----
+
+/** A OnceMemo of empty fronts with one group per key. */
+class MemoPolicy : public ::testing::Test
+{
+  protected:
+    using Memo = engine::detail::OnceMemo<LoopFront>;
+
+    static engine::detail::MemoCounters
+    counters()
+    {
+        metrics::Registry &reg = metrics::registry();
+        return {&reg.counter("test_memo_hits_total"),
+                &reg.counter("test_memo_misses_total"),
+                &reg.counter("test_memo_evictions_total"),
+                &reg.counter("test_memo_waits_total"),
+                &reg.histogram("test_memo_wait_us")};
+    }
+
+    /** Look @p key up; true when it was resident (a hit). */
+    static bool
+    use(Memo &memo, const std::string &key)
+    {
+        const std::uint64_t hits = memo.hits();
+        memo.get(key, key, [] { return std::make_shared<const LoopFront>(); });
+        return memo.hits() > hits;
+    }
+};
+
+TEST_F(MemoPolicy, HotGroupOutlivesOneOffGroups)
+{
+    constexpr std::size_t kCapacity = 4;
+    std::vector<std::string> trace = {"hot", "hot", "hot"};
+    for (int i = 0; i < 8; ++i)
+        trace.push_back("once" + std::to_string(i));
+
+    // The premise: an LRU bound of the same size drops the hot key,
+    // since more than kCapacity one-off keys follow its last use.
+    std::list<std::string> lru;
+    for (const std::string &key : trace) {
+        lru.remove(key);
+        lru.push_front(key);
+        if (lru.size() > kCapacity)
+            lru.pop_back();
+    }
+    ASSERT_EQ(std::count(lru.begin(), lru.end(), "hot"), 0);
+
+    Memo memo(kCapacity, counters());
+    for (const std::string &key : trace)
+        use(memo, key);
+    EXPECT_EQ(memo.groups(), kCapacity);
+    // Nine groups, four resident.
+    EXPECT_EQ(memo.evictions(), 9u - kCapacity);
+    EXPECT_EQ(memo.uses("hot"), 3u);
+    // Each one-off key evicted the least recent one-off instead.
+    EXPECT_TRUE(use(memo, "hot"));
+    EXPECT_FALSE(use(memo, "once3"));
+    EXPECT_TRUE(use(memo, "once7"));
+}
+
+TEST_F(MemoPolicy, AgingLetsANewSteadyGroupDisplaceAFormerlyHotOne)
+{
+    // Capacity 2: "old" was hot; now every other lookup is "new"
+    // and the rest are one-off keys. While "new" counts less than
+    // "old", each one-off key evicts "new"; once it counts more,
+    // the one-off keys evict "old" and each other, and "new" hits.
+    constexpr std::size_t kCapacity = 2;
+    constexpr int kOldUses = 1000;
+    constexpr int kPeriod = 10 * kCapacity;
+    Memo memo(kCapacity, counters());
+    for (int i = 0; i < kOldUses; ++i)
+        use(memo, "old");
+    ASSERT_GT(memo.uses("old"), 0u);
+
+    // Without aging "new" would have to outcount kOldUses lookups.
+    // With it, a count never stays much above 2 x period, and an
+    // unused one halves every period.
+    int lookups = 0;
+    int firstHit = -1;
+    for (int i = 0; firstHit < 0 && lookups < kOldUses; ++i) {
+        if (use(memo, "new"))
+            firstHit = lookups;
+        use(memo, "once" + std::to_string(i));
+        lookups += 2;
+    }
+    ASSERT_GE(firstHit, 0) << "\"new\" never became resident";
+    // "old" held for a while (a recency bound lets "new" in on its
+    // second lookup), then gave way within a few periods.
+    EXPECT_GE(firstHit, kPeriod);
+    EXPECT_LT(firstHit, 4 * kPeriod);
+    // From then on "new" stays and "old" is gone.
+    for (int i = 0; i < 3 * kPeriod; ++i) {
+        EXPECT_TRUE(use(memo, "new")) << i;
+        use(memo, "later" + std::to_string(i));
+    }
+    EXPECT_FALSE(use(memo, "old"));
+}
+
+TEST_F(MemoPolicy, HistoryStaysBoundedUnderOneOffKeys)
+{
+    constexpr std::size_t kCapacity = 4;
+    Memo memo(kCapacity, counters());
+    for (int i = 0; i < 10000; ++i) {
+        use(memo, "once" + std::to_string(i));
+        // Each period adds 10 x capacity uses and aging halves the
+        // total, so at most 20 x capacity names ever have a count.
+        ASSERT_LE(memo.history(), 20 * kCapacity) << i;
+    }
+    EXPECT_EQ(memo.groups(), kCapacity);
+    EXPECT_EQ(memo.evictions(), 10000u - kCapacity);
+}
+
+TEST_F(MemoPolicy, UnboundedMemoKeepsNoHistory)
+{
+    Memo memo(/*capacity=*/0, counters());
+    for (int round = 0; round < 3; ++round) {
+        for (int i = 0; i < 100; ++i)
+            use(memo, "key" + std::to_string(i));
+    }
+    EXPECT_EQ(memo.groups(), 100u);
+    EXPECT_EQ(memo.hits(), 200u);
+    EXPECT_EQ(memo.evictions(), 0u);
+    EXPECT_EQ(memo.uses("key0"), 0u);
+    EXPECT_EQ(memo.history(), 0u);
 }
 
 // ---- determinism ----

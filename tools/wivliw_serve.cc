@@ -178,8 +178,9 @@ usage(int code)
         "  --jobs N           worker threads (default 1, N >= 1)\n"
         "  --cache-capacity N compile-cache bound: N artifacts, the\n"
         "                     loop front ends of N workloads and\n"
-        "                     the runs of N artifacts (LRU;\n"
-        "                     default 0 = unbounded)\n"
+        "                     the runs of N artifacts; evicts\n"
+        "                     the least frequently used first\n"
+        "                     (default 0 = unbounded)\n"
         "  --queue N          event-queue bound (default 256);\n"
         "                     a full queue blocks workers instead\n"
         "                     of buffering without bound\n"
