@@ -10,9 +10,10 @@
  *   "> {json}"  send the line to the daemon
  *   "< {json}"  match the next *response* (line with an "ok" member)
  *   "! {json}"  match the next *event* (line with an "event" member)
- * Matching is structural: member order is free, a pattern value of
- * "*" matches anything, and otherwise the member sets and values
- * must be exactly equal.
+ * A pattern without a "*" value must equal the daemon's line byte
+ * for byte. A pattern with one is matched structurally: member
+ * order is free, "*" matches any value, and otherwise the member
+ * sets and values must be exactly equal.
  */
 
 #include <gtest/gtest.h>
@@ -124,6 +125,13 @@ matches(const json::Value &pattern, const json::Value &actual)
     return false;
 }
 
+/** One daemon output line: its bytes and its parse. */
+struct Line
+{
+    std::string raw;
+    json::Value value;
+};
+
 /** wivliw_serve as a child over stdio pipes (see the daemon
  *  tests); responses and events demultiplexed by member. */
 class Daemon
@@ -179,12 +187,12 @@ class Daemon
                   ssize_t(payload.size()));
     }
 
-    json::Value
+    Line
     readResponse()
     {
         for (;;) {
-            json::Value line = readLine();
-            if (line.find("event")) {
+            Line line = readLine();
+            if (line.value.find("event")) {
                 events_.push_back(std::move(line));
                 continue;
             }
@@ -192,16 +200,16 @@ class Daemon
         }
     }
 
-    json::Value
+    Line
     readEvent()
     {
         if (!events_.empty()) {
-            json::Value front = std::move(events_.front());
+            Line front = std::move(events_.front());
             events_.erase(events_.begin());
             return front;
         }
-        json::Value line = readLine();
-        EXPECT_TRUE(line.find("event"))
+        Line line = readLine();
+        EXPECT_TRUE(line.value.find("event"))
             << "expected an event, got a response";
         return line;
     }
@@ -218,7 +226,7 @@ class Daemon
     }
 
   private:
-    json::Value
+    Line
     readLine()
     {
         const auto deadline = std::chrono::steady_clock::now() +
@@ -226,18 +234,20 @@ class Daemon
         for (;;) {
             const std::size_t eol = buffer_.find('\n');
             if (eol != std::string::npos) {
-                const std::string line = buffer_.substr(0, eol);
+                Line line{buffer_.substr(0, eol), {}};
                 buffer_.erase(0, eol + 1);
                 std::string error;
-                auto parsed = json::parse(line, &error);
-                EXPECT_TRUE(parsed) << error << ": " << line;
-                return parsed ? *parsed : json::Value();
+                auto parsed = json::parse(line.raw, &error);
+                EXPECT_TRUE(parsed) << error << ": " << line.raw;
+                if (parsed)
+                    line.value = std::move(*parsed);
+                return line;
             }
             const auto left =
                 deadline - std::chrono::steady_clock::now();
             EXPECT_GT(left.count(), 0) << "daemon output timeout";
             if (left.count() <= 0)
-                return json::Value();
+                return {};
             pollfd pfd{readFd_, POLLIN, 0};
             const int ms = int(
                 std::chrono::duration_cast<
@@ -249,7 +259,7 @@ class Daemon
             const ssize_t n = read(readFd_, chunk, sizeof chunk);
             EXPECT_GT(n, 0) << "daemon closed stdout";
             if (n <= 0)
-                return json::Value();
+                return {};
             buffer_.append(chunk, std::size_t(n));
         }
     }
@@ -259,7 +269,7 @@ class Daemon
     int readFd_ = -1;
     bool reaped_ = false;
     std::string buffer_;
-    std::vector<json::Value> events_;
+    std::vector<Line> events_;
 };
 
 std::string
@@ -327,14 +337,18 @@ TEST(DocsProtocol, TranscriptReplaysAgainstLiveDaemon)
         const auto pattern = json::parse(step.payload, &error);
         ASSERT_TRUE(pattern) << "PROTOCOL.md:" << step.docLine
                              << ": bad pattern: " << error;
-        const json::Value actual =
-            step.kind == Step::Kind::ExpectResponse
-                ? daemon.readResponse()
-                : daemon.readEvent();
-        EXPECT_TRUE(matches(*pattern, actual))
+        const Line actual = step.kind == Step::Kind::ExpectResponse
+                                ? daemon.readResponse()
+                                : daemon.readEvent();
+        if (step.payload.find("\"*\"") == std::string::npos) {
+            EXPECT_EQ(actual.raw, step.payload)
+                << "PROTOCOL.md:" << step.docLine;
+            continue;
+        }
+        EXPECT_TRUE(matches(*pattern, actual.value))
             << "PROTOCOL.md:" << step.docLine
             << "\n  expected " << step.payload
-            << "\n  actual   " << dump(actual);
+            << "\n  actual   " << dump(actual.value);
     }
     EXPECT_EQ(daemon.finish(), 0);
 }

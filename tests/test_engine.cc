@@ -1394,5 +1394,107 @@ TEST_F(ReportTest, JsonIsBalancedAndCarriesCacheStats)
     EXPECT_EQ(bare.str().find("\"cache\""), std::string::npos);
 }
 
+/** One fixed result: every field writeJson reads, no simulator. */
+ExperimentResult
+fixedResult(const std::string &bench, std::size_t datasets,
+            const std::string &solver)
+{
+    ExperimentResult r;
+    r.spec.bench = bench;
+    r.spec.arch.name = "interleaved-ab";
+    r.spec.opts.loopVersioning = true;
+    r.spec.opts.memChains = false;
+    for (std::size_t d = 0; d < datasets; ++d) {
+        BenchmarkRun run;
+        run.total.totalCycles = 1000 + Cycles(d);
+        run.total.stallCycles = 250;
+        run.total.accessesByClass[std::size_t(AccessClass::LocalHit)] =
+            2;
+        run.total.accessesByClass[std::size_t(AccessClass::RemoteHit)] =
+            7;
+        run.total.abHits = 4;
+        run.total.memAccesses = 9;
+        run.workloadBalance = 0.281637;
+        LoopRun lr;
+        lr.copies = 3;
+        lr.solver = solver;
+        run.loops = {lr, lr};
+        r.datasetRuns.push_back(run);
+        r.simulateDatasetMs.push_back(1.25 * double(d + 1));
+    }
+    r.solverOutcome = solver;
+    r.compileMs = 0.5;
+    r.simulateMs = 4.125;
+    r.simulateSetupMs = 0.375;
+    return r;
+}
+
+// The --timing block carries wall times, so no golden can pin it;
+// fixed results pin its layout (and every other member) instead.
+TEST(ReportJson, TimingAndCacheLayoutIsPinned)
+{
+    std::vector<ExperimentResult> results = {
+        fixedResult("k\"1", 2, "proven"), fixedResult("k2", 1, "")};
+    ExperimentResult failed = fixedResult("k3", 1, "feasible");
+    failed.error = "compile rejected";
+    failed.datasetRuns.clear();
+    results.push_back(failed);
+    CompileCacheStats stats;
+    stats.hits = 3;
+    stats.misses = std::uint64_t(1) << 40;
+    stats.stores = 1;
+    stats.hitsByBench["k2"] = 1;
+    stats.hitsByBench["k\"1"] = 2;
+
+    std::ostringstream os;
+    engine::writeJson(os, results, &stats, true);
+    EXPECT_EQ(os.str(),
+              "{\n  \"experiments\": [\n"
+              "    {\"benchmark\": \"k\\\"1\", \"arch\": "
+              "\"interleaved-ab\", \"heuristic\": \"IPBC\", "
+              "\"unroll\": \"selective\", \"align\": true, "
+              "\"chains\": false, \"versioning\": true, "
+              "\"dataset\": 0, \"cycles\": 1000, \"compute\": 750, "
+              "\"stall\": 250, \"local_hit_ratio\": 0.222222, "
+              "\"ab_hits\": 4, \"mem_accesses\": 9, "
+              "\"workload_balance\": 0.281637, \"copies\": 6, "
+              "\"solver\": \"proven\", \"compile_ms\": 0.50, "
+              "\"simulate_ms\": 1.25},\n"
+              "    {\"benchmark\": \"k\\\"1\", \"arch\": "
+              "\"interleaved-ab\", \"heuristic\": \"IPBC\", "
+              "\"unroll\": \"selective\", \"align\": true, "
+              "\"chains\": false, \"versioning\": true, "
+              "\"dataset\": 1, \"cycles\": 1001, \"compute\": 751, "
+              "\"stall\": 250, \"local_hit_ratio\": 0.222222, "
+              "\"ab_hits\": 4, \"mem_accesses\": 9, "
+              "\"workload_balance\": 0.281637, \"copies\": 6, "
+              "\"solver\": \"proven\", \"compile_ms\": 0.50, "
+              "\"simulate_ms\": 2.50},\n"
+              "    {\"benchmark\": \"k2\", \"arch\": "
+              "\"interleaved-ab\", \"heuristic\": \"IPBC\", "
+              "\"unroll\": \"selective\", \"align\": true, "
+              "\"chains\": false, \"versioning\": true, "
+              "\"dataset\": 0, \"cycles\": 1000, \"compute\": 750, "
+              "\"stall\": 250, \"local_hit_ratio\": 0.222222, "
+              "\"ab_hits\": 4, \"mem_accesses\": 9, "
+              "\"workload_balance\": 0.281637, \"copies\": 6, "
+              "\"solver\": \"\", \"compile_ms\": 0.50, "
+              "\"simulate_ms\": 4.12}\n"
+              "  ],\n"
+              "  \"timing\": {\"compile_ms\": 1.00, "
+              "\"simulate_ms\": 8.25, \"simulate_setup_ms\": 0.75, "
+              "\"simulate_ms_by_dataset\": [2.50, 2.50]},\n"
+              "  \"cache\": {\"hits\": 3, \"misses\": 1099511627776, "
+              "\"store_hits\": 0, \"store_misses\": 0, "
+              "\"stores\": 1, \"hits_by_benchmark\": {\"k\\\"1\": 2, "
+              "\"k2\": 1}}\n"
+              "}\n");
+
+    // No rows at all: the experiments array is still two lines.
+    std::ostringstream empty;
+    engine::writeJson(empty, {});
+    EXPECT_EQ(empty.str(), "{\n  \"experiments\": [\n  ]\n}\n");
+}
+
 } // namespace
 } // namespace vliw
