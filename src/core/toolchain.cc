@@ -391,7 +391,6 @@ simulateDataset(const MachineConfig &cfg, const BenchmarkSpec &bench,
         lr.copies = compiled.sched.schedule.numCopies();
         lr.workloadBalance =
             compiled.sched.schedule.workloadBalance(cfg.numClusters);
-        lr.solver = compiled.solverOutcome;
         lr.solverLowerBound = compiled.solverLowerBound;
         lr.solverNodes = compiled.solverNodes;
 

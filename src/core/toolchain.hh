@@ -182,8 +182,6 @@ struct LoopRun
     /** Invocations the versioning check sent to the unchained
      *  version (0 when versioning is off or never profitable). */
     int unchainedInvocations = 0;
-    /** Exact-solver verdict of the compiled loop ("" = heuristic). */
-    std::string solver;
     /** Proven lower bound on the loop's II (0 when no solver). */
     int solverLowerBound = 0;
     /** Search nodes the solver spent on this loop. */

@@ -7,48 +7,6 @@
 
 namespace vliw::engine {
 
-namespace {
-
-/** One shared escaper for every JSON writer in the tree. */
-std::string
-jsonEscape(const std::string &s)
-{
-    return json::escape(s);
-}
-
-const char *
-boolName(bool v)
-{
-    return v ? "true" : "false";
-}
-
-/** Severity order of solver outcomes; empty (no solver) is least. */
-int
-solverRank(const std::string &outcome)
-{
-    if (outcome == "budget-exhausted")
-        return 3;
-    if (outcome == "feasible")
-        return 2;
-    if (outcome == "proven")
-        return 1;
-    return 0;
-}
-
-/** Worst solver outcome over the run's kernels ("" without one). */
-std::string
-worstSolverOutcome(const BenchmarkRun &run)
-{
-    std::string worst;
-    for (const LoopRun &lr : run.loops) {
-        if (solverRank(lr.solver) > solverRank(worst))
-            worst = lr.solver;
-    }
-    return worst;
-}
-
-} // namespace
-
 ReportRow
 makeRow(const ExperimentResult &result)
 {
@@ -82,7 +40,7 @@ makeRow(const ExperimentResult &result, std::size_t dataset)
     row.workloadBalance = run.workloadBalance;
     for (const LoopRun &lr : run.loops)
         row.copies += lr.copies;
-    row.solver = worstSolverOutcome(run);
+    row.solver = result.solverOutcome;
     row.compileMs = result.compileMs;
     // A single-dataset job reports the whole simulate phase (the
     // pre-batch semantics); a multi-dataset row reports its own
@@ -155,12 +113,8 @@ bool
 anySolver(const std::vector<ExperimentResult> &results)
 {
     for (const ExperimentResult &r : results) {
-        if (r.failed())
-            continue;
-        for (const BenchmarkRun &run : r.datasetRuns) {
-            if (!worstSolverOutcome(run).empty())
-                return true;
-        }
+        if (!r.failed() && !r.solverOutcome.empty())
+            return true;
     }
     return false;
 }
@@ -263,78 +217,72 @@ writeJson(std::ostream &os,
 {
     const bool multi = multiDataset(results);
     const bool solver = anySolver(results);
-    os << "{\n  \"experiments\": [";
-    bool first_record = true;
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i].failed())
+    std::string out;
+    json::Writer w(out, json::Writer::Layout::Report);
+    w.beginObject().key("experiments").beginArray();
+    for (const ExperimentResult &r : results) {
+        if (r.failed())
             continue;
-        const std::size_t rows = results[i].datasetCount();
-        for (std::size_t d = 0; d < rows; ++d) {
-            const ReportRow row = makeRow(results[i], d);
-            os << (first_record ? "\n" : ",\n");
-            first_record = false;
-            os << "    {\"benchmark\": \"" << jsonEscape(row.bench)
-               << "\", \"arch\": \"" << jsonEscape(row.arch)
-               << "\", \"heuristic\": \"" << jsonEscape(row.heuristic)
-               << "\", \"unroll\": \"" << jsonEscape(row.unroll)
-               << "\", \"align\": " << boolName(row.varAlignment)
-               << ", \"chains\": " << boolName(row.memChains)
-               << ", \"versioning\": " << boolName(row.loopVersioning);
+        for (std::size_t d = 0; d < r.datasetCount(); ++d) {
+            const ReportRow row = makeRow(r, d);
+            w.beginObject()
+                .member("benchmark", row.bench)
+                .member("arch", row.arch)
+                .member("heuristic", row.heuristic)
+                .member("unroll", row.unroll)
+                .member("align", row.varAlignment)
+                .member("chains", row.memChains)
+                .member("versioning", row.loopVersioning);
             if (multi)
-                os << ", \"dataset\": " << row.dataset;
-            os << ", \"cycles\": " << row.cycles
-               << ", \"compute\": " << row.computeCycles
-               << ", \"stall\": " << row.stallCycles
-               << ", \"local_hit_ratio\": " << row.localHitRatio
-               << ", \"ab_hits\": " << row.abHits
-               << ", \"mem_accesses\": " << row.memAccesses
-               << ", \"workload_balance\": " << row.workloadBalance
-               << ", \"copies\": " << row.copies;
+                w.member("dataset", row.dataset);
+            w.member("cycles", row.cycles)
+                .member("compute", row.computeCycles)
+                .member("stall", row.stallCycles)
+                .member("local_hit_ratio", row.localHitRatio)
+                .member("ab_hits", row.abHits)
+                .member("mem_accesses", row.memAccesses)
+                .member("workload_balance", row.workloadBalance)
+                .member("copies", row.copies);
             if (solver)
-                os << ", \"solver\": \"" << jsonEscape(row.solver)
-                   << "\"";
+                w.member("solver", row.solver);
             if (timing) {
-                os << ", \"compile_ms\": " << msCell(row.compileMs)
-                   << ", \"simulate_ms\": " << msCell(row.simulateMs);
+                w.key("compile_ms").raw(msCell(row.compileMs));
+                w.key("simulate_ms").raw(msCell(row.simulateMs));
             }
-            os << "}";
+            w.endObject();
         }
     }
-    os << "\n  ]";
+    w.endArray();
     if (timing) {
         const TimingTotals totals = timingTotals(results);
-        os << ",\n  \"timing\": {\"compile_ms\": "
-           << msCell(totals.compileMs) << ", \"simulate_ms\": "
-           << msCell(totals.simulateMs);
+        w.key("timing").beginObject();
+        w.key("compile_ms").raw(msCell(totals.compileMs));
+        w.key("simulate_ms").raw(msCell(totals.simulateMs));
         if (totals.simulatePerDataset.size() > 1) {
-            os << ", \"simulate_setup_ms\": "
-               << msCell(totals.simulateSetupMs)
-               << ", \"simulate_ms_by_dataset\": [";
-            for (std::size_t d = 0;
-                 d < totals.simulatePerDataset.size(); ++d) {
-                os << (d ? ", " : "")
-                   << msCell(totals.simulatePerDataset[d]);
-            }
-            os << "]";
+            w.key("simulate_setup_ms").raw(msCell(totals.simulateSetupMs));
+            w.key("simulate_ms_by_dataset").beginArray();
+            for (const double ms : totals.simulatePerDataset)
+                w.raw(msCell(ms));
+            w.endArray();
         }
-        os << "}";
+        w.endObject();
     }
     if (cache) {
-        os << ",\n  \"cache\": {\"hits\": " << cache->hits
-           << ", \"misses\": " << cache->misses
-           << ", \"store_hits\": " << cache->storeHits
-           << ", \"store_misses\": " << cache->storeMisses
-           << ", \"stores\": " << cache->stores
-           << ", \"hits_by_benchmark\": {";
-        bool first = true;
-        for (const auto &[bench, hits] : cache->hitsByBench) {
-            os << (first ? "" : ", ") << "\"" << jsonEscape(bench)
-               << "\": " << hits;
-            first = false;
-        }
-        os << "}}";
+        w.key("cache")
+            .beginObject()
+            .member("hits", cache->hits)
+            .member("misses", cache->misses)
+            .member("store_hits", cache->storeHits)
+            .member("store_misses", cache->storeMisses)
+            .member("stores", cache->stores)
+            .key("hits_by_benchmark")
+            .beginObject();
+        for (const auto &[bench, hits] : cache->hitsByBench)
+            w.member(bench, hits);
+        w.endObject().endObject();
     }
-    os << "\n}\n";
+    w.endObject();
+    os << out << '\n';
 }
 
 void

@@ -42,12 +42,14 @@ struct ReportRow
     /** Inter-cluster copies summed over the benchmark's kernels. */
     std::int64_t copies = 0;
     /**
-     * Exact-solver outcome for this cell: the worst outcome over
-     * the benchmark's kernels ("proven" < "feasible" <
-     * "budget-exhausted"), empty for heuristic arms. The solver
-     * column appears in the table/CSV/JSON only when some result
-     * in the batch ran the solver, so heuristic-only reports stay
-     * byte-identical to their pre-solver form.
+     * Exact-solver outcome for this cell, ExperimentResult::
+     * solverOutcome: the worst outcome over every compiled kernel,
+     * both versions of a versioned loop included ("proven" <
+     * "feasible" < "budget-exhausted"), empty for heuristic arms;
+     * every data set's row repeats it. The solver column appears
+     * in the table/CSV/JSON only when some result in the batch ran
+     * the solver, so heuristic-only reports stay byte-identical to
+     * their pre-solver form.
      */
     std::string solver;
     /**

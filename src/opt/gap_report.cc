@@ -198,26 +198,31 @@ writeGapCsv(std::ostream &os, const GapReport &report)
 void
 writeGapJson(std::ostream &os, const GapReport &report)
 {
-    os << "{\n  \"gap_report\": [";
-    for (std::size_t i = 0; i < report.cells.size(); ++i) {
-        const GapCell &c = report.cells[i];
-        os << (i ? ",\n" : "\n");
-        os << "    {\"benchmark\": \"" << json::escape(c.bench)
-           << "\", \"arch\": \"" << json::escape(c.arch)
-           << "\", \"scheduler\": \"" << json::escape(c.scheduler)
-           << "\", \"ii\": " << c.ii
-           << ", \"ii_optimal\": " << c.iiOptimal
-           << ", \"ii_gap\": " << c.iiGap
-           << ", \"cycles\": " << c.cycles
-           << ", \"cycles_optimal\": " << c.cyclesOptimal
-           << ", \"cycle_gap_pct\": " << pctCell(c.cycleGapPct)
-           << ", \"solver\": \"" << json::escape(c.solver)
-           << "\", \"lower_bound\": " << c.lowerBound
-           << ", \"solver_nodes\": " << c.solverNodes << "}";
+    std::string out;
+    json::Writer w(out, json::Writer::Layout::Report);
+    w.beginObject().key("gap_report").beginArray();
+    for (const GapCell &c : report.cells) {
+        w.beginObject()
+            .member("benchmark", c.bench)
+            .member("arch", c.arch)
+            .member("scheduler", c.scheduler)
+            .member("ii", c.ii)
+            .member("ii_optimal", c.iiOptimal)
+            .member("ii_gap", c.iiGap)
+            .member("cycles", c.cycles)
+            .member("cycles_optimal", c.cyclesOptimal)
+            .key("cycle_gap_pct")
+            .raw(pctCell(c.cycleGapPct))
+            .member("solver", c.solver)
+            .member("lower_bound", c.lowerBound)
+            .member("solver_nodes", c.solverNodes)
+            .endObject();
     }
-    os << "\n  ],\n  \"proven_cells\": " << report.provenCount()
-       << ",\n  \"gate\": "
-       << (report.gatePasses() ? "true" : "false") << "\n}\n";
+    w.endArray()
+        .member("proven_cells", report.provenCount())
+        .member("gate", report.gatePasses())
+        .endObject();
+    os << out << '\n';
 }
 
 } // namespace vliw::opt

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "support/logging.hh"
+
 namespace vliw::json {
 
 bool
@@ -394,37 +396,102 @@ parse(std::string_view text, std::string *error)
 }
 
 std::string
-escape(std::string_view s)
+quoted(std::string_view s)
 {
     std::string out;
-    out.reserve(s.size());
+    Writer(out).value(s);
+    return out;
+}
+
+void
+Writer::quote(std::string_view s)
+{
+    out_.push_back('"');
     for (const char c : s) {
         switch (c) {
-          case '"':  out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b";  break;
-          case '\f': out += "\\f";  break;
-          case '\n': out += "\\n";  break;
-          case '\r': out += "\\r";  break;
-          case '\t': out += "\\t";  break;
+          case '"':  out_ += "\\\""; break;
+          case '\\': out_ += "\\\\"; break;
+          case '\b': out_ += "\\b";  break;
+          case '\f': out_ += "\\f";  break;
+          case '\n': out_ += "\\n";  break;
+          case '\r': out_ += "\\r";  break;
+          case '\t': out_ += "\\t";  break;
           default:
             if (static_cast<unsigned char>(c) < 0x20) {
                 char buf[8];
                 std::snprintf(buf, sizeof buf, "\\u%04x",
                               unsigned(static_cast<unsigned char>(c)));
-                out += buf;
+                out_ += buf;
             } else {
-                out.push_back(c);
+                out_.push_back(c);
             }
         }
     }
-    return out;
+    out_.push_back('"');
 }
 
-std::string
-quoted(std::string_view s)
+void
+Writer::separate(bool isKey)
 {
-    return "\"" + escape(s) + "\"";
+    if (afterKey_ || depth_ == 0) {
+        vliw_assert(!isKey, "JSON key outside an object");
+        afterKey_ = false;
+        return;
+    }
+    const std::uint32_t bit = 1u << (depth_ - 1);
+    vliw_assert(isKey == bool(objects_ & bit),
+                "JSON key missing or misplaced");
+    if (filled_ & bit)
+        out_ += layout_ == Layout::Report && !broken(depth_) ? ", " : ",";
+    if (broken(depth_))
+        out_.append("\n").append(2 * depth_, ' ');
+    filled_ |= bit;
+}
+
+Writer &
+Writer::open(char bracket)
+{
+    vliw_assert(depth_ < 32, "JSON nested too deeply");
+    separate(false);
+    const std::uint32_t bit = 1u << depth_++;
+    objects_ = bracket == '{' ? objects_ | bit : objects_ & ~bit;
+    filled_ &= ~bit;
+    out_.push_back(bracket);
+    return *this;
+}
+
+Writer &
+Writer::close(char bracket)
+{
+    vliw_assert(depth_ > 0 && !afterKey_ &&
+                    bool(objects_ & (1u << (depth_ - 1))) ==
+                        (bracket == '}'),
+                "unbalanced JSON");
+    if (broken(depth_--))
+        out_.append("\n").append(2 * depth_, ' ');
+    out_.push_back(bracket);
+    return *this;
+}
+
+Writer &
+Writer::key(std::string_view k)
+{
+    separate(true);
+    quote(k);
+    out_ += layout_ == Layout::Compact ? ":" : ": ";
+    afterKey_ = true;
+    return *this;
+}
+
+Writer &
+Writer::token(std::string_view t, bool quoteIt)
+{
+    separate(false);
+    if (quoteIt)
+        quote(t);
+    else
+        out_ += t;
+    return *this;
 }
 
 } // namespace vliw::json

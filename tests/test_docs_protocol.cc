@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -272,49 +271,6 @@ class Daemon
     std::vector<Line> events_;
 };
 
-std::string
-dump(const json::Value &value);
-
-std::string
-dump(const json::Value &value)
-{
-    std::ostringstream os;
-    switch (value.kind()) {
-      case json::Value::Kind::Null:
-        os << "null";
-        break;
-      case json::Value::Kind::Bool:
-        os << (value.asBool() ? "true" : "false");
-        break;
-      case json::Value::Kind::Number:
-        os << value.asNumber();
-        break;
-      case json::Value::Kind::String:
-        os << json::quoted(value.asString());
-        break;
-      case json::Value::Kind::Array: {
-        os << "[";
-        for (std::size_t i = 0; i < value.items().size(); ++i)
-            os << (i ? "," : "") << dump(value.items()[i]);
-        os << "]";
-        break;
-      }
-      case json::Value::Kind::Object: {
-        os << "{";
-        bool first = true;
-        for (const auto &member : value.members()) {
-            os << (first ? "" : ",")
-               << json::quoted(member.first) << ":"
-               << dump(member.second);
-            first = false;
-        }
-        os << "}";
-        break;
-      }
-    }
-    return os.str();
-}
-
 TEST(DocsProtocol, TranscriptReplaysAgainstLiveDaemon)
 {
     const std::vector<Step> steps =
@@ -348,7 +304,7 @@ TEST(DocsProtocol, TranscriptReplaysAgainstLiveDaemon)
         EXPECT_TRUE(matches(*pattern, actual.value))
             << "PROTOCOL.md:" << step.docLine
             << "\n  expected " << step.payload
-            << "\n  actual   " << dump(actual.value);
+            << "\n  actual   " << actual.raw;
     }
     EXPECT_EQ(daemon.finish(), 0);
 }

@@ -1417,7 +1417,6 @@ fixedResult(const std::string &bench, std::size_t datasets,
         run.workloadBalance = 0.281637;
         LoopRun lr;
         lr.copies = 3;
-        lr.solver = solver;
         run.loops = {lr, lr};
         r.datasetRuns.push_back(run);
         r.simulateDatasetMs.push_back(1.25 * double(d + 1));

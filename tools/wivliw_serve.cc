@@ -341,30 +341,47 @@ class Connection
         std::fflush(out_);
     }
 
-    void
-    respondError(const std::string &op, const std::string &message)
+    /** Start `{"ok":<ok>,"op":<op>` in the reader thread's reused
+     *  line; respond() closes and sends it. */
+    json::Writer
+    response(bool ok, std::string_view op)
     {
-        writeLine("{\"ok\":false,\"op\":" + json::quoted(op) +
-                  ",\"error\":" + json::quoted(message) + "}");
+        responseLine_.clear();
+        json::Writer w(responseLine_);
+        w.beginObject().member("ok", ok).member("op", op);
+        return w;
     }
 
-    static std::string
-    cacheJson(const engine::CompileCacheStats &cache)
+    void
+    respond(json::Writer w)
     {
-        std::ostringstream os;
-        os << "{\"hits\":" << cache.hits
-           << ",\"misses\":" << cache.misses
-           << ",\"evictions\":" << cache.evictions
-           << ",\"store_hits\":" << cache.storeHits
-           << ",\"store_misses\":" << cache.storeMisses
-           << ",\"stores\":" << cache.stores
-           << ",\"front_hits\":" << cache.frontHits
-           << ",\"front_misses\":" << cache.frontMisses
-           << ",\"front_evictions\":" << cache.frontEvictions
-           << ",\"run_hits\":" << cache.runHits
-           << ",\"run_misses\":" << cache.runMisses
-           << ",\"run_evictions\":" << cache.runEvictions << "}";
-        return os.str();
+        w.endObject();
+        writeLine(responseLine_);
+    }
+
+    void
+    respondError(std::string_view op, std::string_view message)
+    {
+        respond(response(false, op).member("error", message));
+    }
+
+    static void
+    writeCache(json::Writer &w, const engine::CompileCacheStats &c)
+    {
+        w.beginObject()
+            .member("hits", c.hits)
+            .member("misses", c.misses)
+            .member("evictions", c.evictions)
+            .member("store_hits", c.storeHits)
+            .member("store_misses", c.storeMisses)
+            .member("stores", c.stores)
+            .member("front_hits", c.frontHits)
+            .member("front_misses", c.frontMisses)
+            .member("front_evictions", c.frontEvictions)
+            .member("run_hits", c.runHits)
+            .member("run_misses", c.runMisses)
+            .member("run_evictions", c.runEvictions)
+            .endObject();
     }
 
     /**
@@ -391,52 +408,49 @@ class Connection
                 std::lock_guard<std::mutex> lock(finishedMu_);
                 finished_.insert(ev.job);
             }
-            std::ostringstream os;
-            os << "{\"event\":\""
-               << api::eventKindName(ev.kind)
-               << "\",\"job\":" << ev.job;
+            eventLine_.clear();
+            json::Writer w(eventLine_);
+            w.beginObject()
+                .member("event", api::eventKindName(ev.kind))
+                .member("job", ev.job);
             switch (ev.kind) {
               case api::EventKind::JobAccepted:
-                os << ",\"total\":" << ev.progress.total;
+                w.member("total", ev.progress.total);
                 break;
               case api::EventKind::CellCompiled:
-                os << ",\"cell\":" << ev.cell
-                   << ",\"label\":" << json::quoted(ev.label);
+                w.member("cell", ev.cell).member("label", ev.label);
                 // Only solver cells carry an outcome; heuristic
                 // cells keep the documented three-field shape.
                 if (!ev.solver.empty())
-                    os << ",\"solver\":" << json::quoted(ev.solver);
+                    w.member("solver", ev.solver);
                 break;
               case api::EventKind::CellSimulated:
-                os << ",\"cell\":" << ev.cell
-                   << ",\"label\":" << json::quoted(ev.label)
-                   << ",\"done\":" << ev.progress.done
-                   << ",\"total\":" << ev.progress.total;
+                w.member("cell", ev.cell)
+                    .member("label", ev.label)
+                    .member("done", ev.progress.done)
+                    .member("total", ev.progress.total);
                 break;
               case api::EventKind::CellFailed:
-                os << ",\"cell\":" << ev.cell
-                   << ",\"label\":" << json::quoted(ev.label)
-                   << ",\"status\":\""
-                   << api::statusCodeName(ev.status.code())
-                   << "\",\"message\":"
-                   << json::quoted(ev.status.message());
+                w.member("cell", ev.cell)
+                    .member("label", ev.label)
+                    .member("status",
+                            api::statusCodeName(ev.status.code()))
+                    .member("message", ev.status.message());
                 break;
               case api::EventKind::Progress:
-                os << ",\"done\":" << ev.progress.done
-                   << ",\"total\":" << ev.progress.total;
+                w.member("done", ev.progress.done)
+                    .member("total", ev.progress.total);
                 break;
               case api::EventKind::JobFinished:
-                os << ",\"status\":\""
-                   << api::statusCodeName(ev.status.code()) << "\"";
-                if (!ev.status.ok()) {
-                    os << ",\"message\":"
-                       << json::quoted(ev.status.message());
-                }
-                os << ",\"cache\":" << cacheJson(ev.cache);
+                w.member("status",
+                         api::statusCodeName(ev.status.code()));
+                if (!ev.status.ok())
+                    w.member("message", ev.status.message());
+                writeCache(w.key("cache"), ev.cache);
                 break;
             }
-            os << "}";
-            writeLine(os.str());
+            w.endObject();
+            writeLine(eventLine_);
         }
     }
 
@@ -473,22 +487,20 @@ class Connection
         } else if (op == "metrics") {
             handleMetrics();
         } else if (op == "cache-stats") {
-            writeLine("{\"ok\":true,\"op\":\"cache-stats\","
-                      "\"cache\":" +
-                      cacheJson(session_.cacheStats()) + "}");
+            json::Writer w = response(true, op);
+            writeCache(w.key("cache"), session_.cacheStats());
+            respond(w);
         } else if (op == "version") {
-            writeLine(std::string("{\"ok\":true,\"op\":\"version\","
-                                  "\"version\":") +
-                      json::quoted(libraryVersion()) +
-                      ",\"build\":" +
-                      json::quoted(libraryBuildType()) + "}");
+            respond(response(true, op)
+                        .member("version", libraryVersion())
+                        .member("build", libraryBuildType()));
         } else if (op == "faults") {
             handleFaults(*req);
         } else if (op == "shutdown") {
             // Stop accepting new work; serve() drains what is
             // in flight within the --drain-ms budget and cancels
             // whatever outlives it.
-            writeLine("{\"ok\":true,\"op\":\"shutdown\"}");
+            respond(response(true, op));
             return true;
         } else {
             respondError(op.empty() ? "?" : op,
@@ -592,16 +604,13 @@ class Connection
         // off and resubmits, it does not poll a corpse.
         if (const std::optional<api::Status> fs = handle.finalStatus();
             fs && fs->code() == api::StatusCode::Overloaded) {
-            std::ostringstream os;
-            os << "{\"ok\":false,\"op\":\"submit\","
-                  "\"status\":\"overloaded\"";
+            json::Writer w = response(false, "submit");
+            w.member("status", "overloaded");
             if (const std::string tag = req.getString("id");
                 !tag.empty())
-                os << ",\"id\":" << json::quoted(tag);
-            os << ",\"error\":" << json::quoted(fs->message())
-               << ",\"context\":" << json::quoted(fs->context())
-               << "}";
-            writeLine(os.str());
+                w.member("id", tag);
+            respond(w.member("error", fs->message())
+                        .member("context", fs->context()));
             return;
         }
         const api::JobId id = handle.id();
@@ -611,12 +620,11 @@ class Connection
         job.tag = req.getString("id");
         jobs_.emplace(id, std::move(job));
 
-        std::ostringstream os;
-        os << "{\"ok\":true,\"op\":\"submit\",\"job\":" << id;
+        json::Writer w = response(true, "submit");
+        w.member("job", id);
         if (!jobs_[id].tag.empty())
-            os << ",\"id\":" << json::quoted(jobs_[id].tag);
-        os << ",\"total\":" << total << "}";
-        writeLine(os.str());
+            w.member("id", jobs_[id].tag);
+        respond(w.member("total", total));
     }
 
     /** The jobs_ entry named by the request, or respond+null. */
@@ -639,11 +647,10 @@ class Connection
         if (!job)
             return;
         job->handle.cancel();
-        std::ostringstream os;
-        os << "{\"ok\":true,\"op\":\"cancel\",\"job\":"
-           << job->handle.id() << ",\"state\":\""
-           << api::jobPhaseName(job->handle.poll()) << "\"}";
-        writeLine(os.str());
+        respond(response(true, "cancel")
+                    .member("job", job->handle.id())
+                    .member("state",
+                            api::jobPhaseName(job->handle.poll())));
     }
 
     void
@@ -652,7 +659,14 @@ class Connection
         ServedJob *job = findJob(req, "status");
         if (!job)
             return;
-        writeLine(statusJson(*job));
+        const api::Progress p = job->handle.progress();
+        json::Writer w = response(true, "status");
+        w.member("job", job->handle.id());
+        if (!job->tag.empty())
+            w.member("id", job->tag);
+        respond(w.member("state", stateName(*job))
+                    .member("done", p.done)
+                    .member("total", p.total));
     }
 
     /** The job's state, consistent with the emitted events. */
@@ -664,37 +678,21 @@ class Connection
         return api::jobPhaseName(job.handle.poll());
     }
 
-    std::string
-    statusJson(ServedJob &job)
-    {
-        const api::Progress p = job.handle.progress();
-        std::ostringstream os;
-        os << "{\"ok\":true,\"op\":\"status\",\"job\":"
-           << job.handle.id();
-        if (!job.tag.empty())
-            os << ",\"id\":" << json::quoted(job.tag);
-        os << ",\"state\":\"" << stateName(job)
-           << "\",\"done\":" << p.done << ",\"total\":" << p.total
-           << "}";
-        return os.str();
-    }
-
     void
     handleListJobs()
     {
-        std::ostringstream os;
-        os << "{\"ok\":true,\"op\":\"list-jobs\",\"jobs\":[";
-        bool first = true;
+        json::Writer w = response(true, "list-jobs");
+        w.key("jobs").beginArray();
         for (auto &entry : jobs_) {
             const api::Progress p = entry.second.handle.progress();
-            os << (first ? "" : ",") << "{\"job\":" << entry.first
-               << ",\"state\":\"" << stateName(entry.second)
-               << "\",\"done\":" << p.done
-               << ",\"total\":" << p.total << "}";
-            first = false;
+            w.beginObject()
+                .member("job", entry.first)
+                .member("state", stateName(entry.second))
+                .member("done", p.done)
+                .member("total", p.total)
+                .endObject();
         }
-        os << "]}";
-        writeLine(os.str());
+        respond(w.endArray());
     }
 
     void
@@ -706,12 +704,11 @@ class Connection
             : op == "list-heuristics" ? reg.schedulers.names()
             : op == "list-unrolls"    ? reg.unrolls.names()
                                       : reg.workloads.names();
-        std::ostringstream os;
-        os << "{\"ok\":true,\"op\":\"" << op << "\",\"names\":[";
-        for (std::size_t i = 0; i < names.size(); ++i)
-            os << (i ? "," : "") << json::quoted(names[i]);
-        os << "]}";
-        writeLine(os.str());
+        json::Writer w = response(true, op);
+        w.key("names").beginArray();
+        for (const std::string &name : names)
+            w.value(name);
+        respond(w.endArray());
     }
 
     /**
@@ -743,13 +740,11 @@ class Connection
                          res.status().message());
             return;
         }
-        std::ostringstream os;
-        os << "{\"ok\":true,\"op\":\"register-workload\","
-              "\"registered\":[";
-        for (std::size_t i = 0; i < res.value().size(); ++i)
-            os << (i ? "," : "") << json::quoted(res.value()[i]);
-        os << "]}";
-        writeLine(os.str());
+        json::Writer w = response(true, "register-workload");
+        w.key("registered").beginArray();
+        for (const std::string &name : res.value())
+            w.value(name);
+        respond(w.endArray());
     }
 
     /**
@@ -777,8 +772,7 @@ class Connection
         for (char &c : armed)
             if (c == '\n')
                 c = ';';
-        writeLine("{\"ok\":true,\"op\":\"faults\",\"armed\":" +
-                  json::quoted(armed) + "}");
+        respond(response(true, "faults").member("armed", armed));
     }
 
     /**
@@ -794,33 +788,24 @@ class Connection
     handleMetrics()
     {
         const metrics::Snapshot snap = session_.metricsSnapshot();
-        std::ostringstream os;
-        os << "{\"ok\":true,\"op\":\"metrics\",\"counters\":{";
-        bool first = true;
-        for (const auto &entry : snap.counters) {
-            os << (first ? "" : ",") << json::quoted(entry.first)
-               << ":" << entry.second;
-            first = false;
-        }
-        os << "},\"gauges\":{";
-        first = true;
-        for (const auto &entry : snap.gauges) {
-            os << (first ? "" : ",") << json::quoted(entry.first)
-               << ":" << entry.second;
-            first = false;
-        }
-        os << "},\"histograms\":{";
-        first = true;
+        json::Writer w = response(true, "metrics");
+        w.key("counters").beginObject();
+        for (const auto &[name, value] : snap.counters)
+            w.member(name, value);
+        w.endObject().key("gauges").beginObject();
+        for (const auto &[name, value] : snap.gauges)
+            w.member(name, value);
+        w.endObject().key("histograms").beginObject();
         for (const auto &hv : snap.histograms) {
-            os << (first ? "" : ",") << json::quoted(hv.name)
-               << ":{\"count\":" << hv.count
-               << ",\"sum_us\":" << hv.sumUs
-               << ",\"p50_us\":" << hv.p50Us
-               << ",\"p99_us\":" << hv.p99Us << "}";
-            first = false;
+            w.key(hv.name)
+                .beginObject()
+                .member("count", hv.count)
+                .member("sum_us", hv.sumUs)
+                .member("p50_us", hv.p50Us)
+                .member("p99_us", hv.p99Us)
+                .endObject();
         }
-        os << "}}";
-        writeLine(os.str());
+        respond(w.endObject());
     }
 
     void
@@ -849,21 +834,18 @@ class Connection
             std::lock_guard<std::mutex> lock(finishedMu_);
             finished_.erase(id);
         }
-        std::ostringstream os;
-        os << "{\"ok\":true,\"op\":\"result\",\"job\":" << id;
+        json::Writer w = response(true, "result");
+        w.member("job", id);
         if (!result.ok()) {
-            os << ",\"status\":\""
-               << api::statusCodeName(result.status().code())
-               << "\",\"message\":"
-               << json::quoted(result.status().message()) << "}";
-            writeLine(os.str());
+            respond(w.member("status", api::statusCodeName(
+                                           result.status().code()))
+                        .member("message", result.status().message()));
             return;
         }
         const api::SweepResult &sweep = result.value();
-        os << ",\"status\":\""
-           << api::statusCodeName(sweep.status.code())
-           << "\",\"completed\":" << sweep.completedCount()
-           << ",\"failed\":" << sweep.failedCount();
+        w.member("status", api::statusCodeName(sweep.status.code()))
+            .member("completed", sweep.completedCount())
+            .member("failed", sweep.failedCount());
         // CSV of the completed cells (cancelled sweeps keep their
         // partial, bit-identical prefix of results).
         std::vector<engine::ExperimentResult> completed;
@@ -873,8 +855,7 @@ class Connection
                 completed.push_back(r);
         std::ostringstream csv;
         engine::writeCsv(csv, completed);
-        os << ",\"csv\":" << json::quoted(csv.str()) << "}";
-        writeLine(os.str());
+        respond(w.member("csv", csv.str()));
     }
 
     api::Session &session_;
@@ -887,6 +868,10 @@ class Connection
     bool drop_ = false;
     api::BoundedEventQueue events_;
     std::mutex outMu_;
+    /** Reused line buffers: responses are written on the reader
+     *  thread only, events on the writer thread only. */
+    std::string responseLine_;
+    std::string eventLine_;
     std::mutex finishedMu_;
     /** Jobs whose finished event already went out. */
     std::set<api::JobId> finished_;
