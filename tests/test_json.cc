@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -285,7 +286,7 @@ TEST(JsonWriter, MisuseIsAnError)
 /** Every line shape the daemon writes parses back. */
 TEST(JsonWriter, ParserAcceptsEveryDaemonShape)
 {
-    std::vector<std::string> lines;
+    std::deque<std::string> lines;    // emplace_back keeps references
     auto line = [&] {
         lines.emplace_back();
         json::Writer w(lines.back());
