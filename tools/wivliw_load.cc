@@ -23,9 +23,9 @@
  *
  * Metrics: per-accepted-job latency (submit write -> result
  * response) p50/p99, accepted-jobs-per-second, shed rate. Wall
- * times are normalised by the same fixed integer calibration
- * workload perf_sim uses, so a slower CI machine does not
- * masquerade as a serving regression. `--baseline FILE` compares
+ * times are normalised by a fixed integer calibration workload
+ * (calibrationMs) timed on the same host, so a slower CI machine
+ * does not masquerade as a serving regression. `--baseline FILE` compares
  * ms_per_job against the committed BENCH_serve.json and exits
  * non-zero past --max-regress (CI's serve-load-smoke job).
  */
@@ -107,7 +107,7 @@ usage(int code)
     std::exit(code);
 }
 
-/** Same fixed integer spin as perf_sim: normalises wall time. */
+/** A fixed 20M-step integer spin: normalises wall time. */
 double
 calibrationMs()
 {
